@@ -8,7 +8,6 @@ finite sum is the universal oracle and closed forms must match it exactly.
 from .catalog import DEFAULT_ELL_GRID, REGISTRY, Identity, VerificationReport, run_sweep, verify
 from .core import (
     Rational,
-    binom2k_shift,
     format_rational,
     gbinom,
     harmonic,
@@ -33,7 +32,6 @@ __all__ = [
     "REGISTRY",
     "VerificationReport",
     "Zero",
-    "binom2k_shift",
     "eval_terminating",
     "format_rational",
     "gauss_second_rhs",

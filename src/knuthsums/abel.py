@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import gbinom, pochhammer
+from .core import binom2k_row, gbinom, gbinom_row, pochhammer
 
 
 @dataclass(frozen=True)
@@ -83,24 +83,14 @@ def abel1_valid(n: int, ell: Fraction | int) -> bool:
 def abel1_lhs(n: int, ell: Fraction | int) -> Fraction:
     """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k) k(n-k)/(k+2l+1)."""
     ell = Fraction(ell)
-    a = n + ell
-    fall = [Fraction(1)]
-    for m in range(1, n + 1):
-        fall.append(fall[-1] * (a - m + 1))
+    upper = gbinom_row(n + ell, n)
+    b2k = binom2k_row(ell, n)
     total = Fraction(0)
-    b2k = Fraction(1)
     for k in range(n + 1):
-        if k:
-            den = (k + 2 * ell) * k
-            if b2k == 0 or den == 0:
-                b2k = gbinom(2 * k + 2 * ell, k)
-            else:
-                b2k = b2k * (2 * k + 2 * ell - 1) * (2 * k + 2 * ell) / den
         weight = Fraction(k * (n - k)) / (k + 2 * ell + 1)
         if weight == 0:
             continue
-        upper = fall[n - k] / math.factorial(n - k)
-        total += Fraction(-1, 2) ** k * upper * b2k * weight
+        total += Fraction(-1, 2) ** k * upper[n - k] * b2k[k] * weight
     return total
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import abel, legendre
-from .core import format_rational, gbinom, harmonic, odd_harmonic
+from .core import binom2k_row, format_rational, gbinom, gbinom_row, harmonic, odd_harmonic
 
 HALF = Fraction(1, 2)
 
@@ -114,20 +114,6 @@ def knuth_rhs(n: int) -> Fraction:
     return Fraction(math.comb(n, n // 2), 2**n)
 
 
-def _guarded_b2k(prev: Fraction, k: int, ell: Fraction) -> Fraction:
-    """choose(2k+2l, k) from choose(2k-2+2l, k-1).
-
-    The one-step ratio (2k+2l-1)(2k+2l) / ((k+2l) k) is exact whenever the
-    previous value and the denominator are nonzero; in the rare degenerate
-    cases (l a negative half-integer crossing the window) fall back to the
-    direct product.
-    """
-    den = (k + 2 * ell) * k
-    if prev == 0 or den == 0:
-        return gbinom(2 * k + 2 * ell, k)
-    return prev * (2 * k + 2 * ell - 1) * (2 * k + 2 * ell) / den
-
-
 def prop1_valid(n: int, ell: Fraction) -> bool:
     """The shift must avoid the negative integers >= -n, where the Gamma
     form of choose(n+l, k+l) degenerates."""
@@ -136,18 +122,9 @@ def prop1_valid(n: int, ell: Fraction) -> bool:
 
 def prop1_lhs(n: int, ell: Fraction) -> Fraction:
     """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k)."""
-    a = n + ell
-    fall = [Fraction(1)]
-    for m in range(1, n + 1):
-        fall.append(fall[-1] * (a - m + 1))
-    total = Fraction(0)
-    b2k = Fraction(1)
-    for k in range(n + 1):
-        if k:
-            b2k = _guarded_b2k(b2k, k, ell)
-        upper = fall[n - k] / math.factorial(n - k)
-        total += (-HALF) ** k * upper * b2k
-    return total
+    upper = gbinom_row(n + ell, n)
+    b2k = binom2k_row(ell, n)
+    return sum(((-HALF) ** k * upper[n - k] * b2k[k] for k in range(n + 1)), Fraction(0))
 
 
 def prop1_rhs(n: int, ell: Fraction) -> Fraction:
@@ -168,17 +145,18 @@ def prop2_valid(n: int, ell: Fraction) -> bool:
 
 
 def prop2_lhs(n: int, ell: Fraction) -> Fraction:
-    """sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k)."""
+    """sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k).
+
+    choose(k+l, k) = (-1)^k choose(-l-1, k), and that sign cancels the one
+    in (-1/2)^k.
+    """
+    b2k = binom2k_row(ell, n)
+    reflected = gbinom_row(-ell - 1, n)
     total = Fraction(0)
-    b2k = Fraction(1)
-    dk = Fraction(1)  # choose(k+l, k) = (l+1)_k / k!
     for k in range(n + 1):
-        if k:
-            b2k = _guarded_b2k(b2k, k, ell)
-            dk = dk * (ell + k) / k
-        if dk == 0:
+        if reflected[k] == 0:
             raise ValueError(f"choose(k+l,k) vanishes at k={k} for l={ell}")
-        total += (-HALF) ** k * math.comb(n, k) * b2k / dk
+        total += math.comb(n, k) * b2k[k] / (2**k * reflected[k])
     return total
 
 
@@ -285,16 +263,10 @@ def tauraso_rhs(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _ident(name, summary, params, space, lhs, rhs, validity=None) -> Identity:
-    if validity is None:
-        return Identity(name, summary, params, space, lhs, rhs)
-    return Identity(name, summary, params, space, lhs, rhs, validity)
-
-
 REGISTRY: dict[str, Identity] = {
     ident.name: ident
     for ident in (
-        _ident(
+        Identity(
             "knuth-old-sum",
             "sum (-1/2)^k C(n,k) C(2k,k) = [n even] 2^-n C(n,n/2)",
             ("n",),
@@ -302,7 +274,7 @@ REGISTRY: dict[str, Identity] = {
             knuth_lhs,
             knuth_rhs,
         ),
-        _ident(
+        Identity(
             "prop1-general-ell",
             "sum (-1/2)^k C(n+l,k+l) C(2k+2l,k) = [n even] 2^-n C(n+l,n/2)",
             ("n", "ell"),
@@ -311,7 +283,7 @@ REGISTRY: dict[str, Identity] = {
             prop1_rhs,
             prop1_valid,
         ),
-        _ident(
+        Identity(
             "prop2-general-ell",
             "sum (-1/2)^k C(n,k) C(2k+2l,k)/C(k+l,k) = [n even] 2^-n C(n,n/2)/C(n/2+l,n/2)",
             ("n", "ell"),
@@ -320,7 +292,7 @@ REGISTRY: dict[str, Identity] = {
             prop2_rhs,
             prop2_valid,
         ),
-        _ident(
+        Identity(
             "example-3hk-2h2k",
             "sum_{k<=2n} (-1/2)^k C(2k,k) C(2n,k) (3H_k - 2H_2k) = 4^-n C(2n,n) H_n",
             ("n",),
@@ -328,7 +300,7 @@ REGISTRY: dict[str, Identity] = {
             hkmix_lhs,
             hkmix_rhs,
         ),
-        _ident(
+        Identity(
             "corollary-odd-harmonic",
             "sum (-2)^k C(m,k) H_k/(k+1) = [m odd] -(2/(m+1)) O_((m+1)/2)",
             ("m",),
@@ -336,7 +308,7 @@ REGISTRY: dict[str, Identity] = {
             oddh_corollary_lhs,
             oddh_corollary_rhs,
         ),
-        _ident(
+        Identity(
             "corollary-intermediate",
             "sum_{k<=2n} (-2)^k C(2n+1,k) H_k/(k+1) = (4^n-1)H_2n/(n+1) + H_n/(2n+2) + (4^n-1)/((n+1)(2n+1))",
             ("n",),
@@ -344,7 +316,7 @@ REGISTRY: dict[str, Identity] = {
             intermediate_lhs,
             intermediate_rhs,
         ),
-        _ident(
+        Identity(
             "gf-polynomial",
             "sum_{k<=2n} C(2n,k) (-2x)^k/(k+1) = (1-(1-2x)^(2n+1))/(2(2n+1)x)",
             ("n", "x"),
@@ -352,7 +324,7 @@ REGISTRY: dict[str, Identity] = {
             gfpoly_lhs,
             gfpoly_rhs,
         ),
-        _ident(
+        Identity(
             "tauraso-h2n",
             "sum_{k<=2n} (-1)^k C(2n,k) C(2n+k,k) C(2k,k) 4^(2n-k) H_k = C(2n,n)^2 H_2n",
             ("n",),
@@ -360,7 +332,7 @@ REGISTRY: dict[str, Identity] = {
             tauraso_lhs,
             tauraso_rhs,
         ),
-        _ident(
+        Identity(
             "odd-knuth-sum",
             "sum (-1/4)^k C(n,k) C(2k,k) O_k = -(1/4)^n C(2n,n) O_n",
             ("n",),
@@ -368,7 +340,7 @@ REGISTRY: dict[str, Identity] = {
             legendre.odd_knuth_lhs,
             legendre.odd_knuth_rhs,
         ),
-        _ident(
+        Identity(
             "legendre-log-moment",
             "int_0^1 ln(x)/sqrt(x) P_n(2x-1) dx = 4(-1)^n (H_n - 2 H_2n - 1/(2n+1))/(2n+1)",
             ("n",),
@@ -376,7 +348,7 @@ REGISTRY: dict[str, Identity] = {
             legendre.log_moment_sqrt_lhs,
             legendre.log_moment_sqrt_rhs,
         ),
-        _ident(
+        Identity(
             "abel-first",
             "sum (-1/2)^k C(n+l,k+l) C(2k+2l,k) k(n-k)/(k+2l+1) = [n even] -2^-n n C(n+l,n/2)",
             ("n", "ell"),
@@ -385,7 +357,7 @@ REGISTRY: dict[str, Identity] = {
             abel.abel1_rhs,
             abel.abel1_valid,
         ),
-        _ident(
+        Identity(
             "abel-second",
             "sum (-1/2)^k C(2k,k) C(n,k) (2k+1)(k^2+3k+3)(n-k)/((k+1)^2(k+2)(k+3)) = 1/2 - [n even] C(n,n/2)(n+1)/(2^n(n+2))",
             ("n",),
@@ -442,7 +414,8 @@ def verify(ident: Identity, params: dict) -> VerificationReport:
     return VerificationReport(ident.name, flat, lhs, rhs, status, reason, micros)
 
 
-def _verify_case(name: str, params: dict) -> VerificationReport:
+def _verify_case(case: tuple[str, dict]) -> VerificationReport:
+    name, params = case
     return verify(REGISTRY[name], params)
 
 
@@ -455,7 +428,12 @@ def run_sweep(
 ) -> list[VerificationReport]:
     """Verify every case of the named identities; reports come back sorted
     by (identity, parameters) so output is deterministic regardless of the
-    degree of parallelism."""
+    degree of parallelism.
+
+    Results are read in case order on both the serial and the pool path,
+    so with fail_fast the reports are the cases up to and including the
+    first failure, whatever jobs is.
+    """
     unknown = [n for n in names if n not in REGISTRY]
     if unknown:
         raise KeyError(f"unknown identities: {', '.join(unknown)}; valid keys: {', '.join(sorted(REGISTRY))}")
@@ -464,27 +442,25 @@ def run_sweep(
         for name in sorted(names)
         for params in iter_cases(REGISTRY[name], n_max, ell_grid)
     ]
-    reports: list[VerificationReport] = []
-    if jobs <= 1:
-        for name, params in cases:
-            rep = _verify_case(name, params)
+
+    def collect(results) -> list[VerificationReport]:
+        reports = []
+        for rep in results:
             reports.append(rep)
             if fail_fast and rep.status == "fail":
                 break
-    else:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        return reports
 
+    if jobs <= 1:
+        reports = collect(map(_verify_case, cases))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a few chunks per worker: cases grow costlier along n, so one
+        # chunk per worker would leave the others idle at the end
+        chunksize = max(1, len(cases) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending = {pool.submit(_verify_case, name, params) for name, params in cases}
-            stop = False
-            while pending and not stop:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    rep = fut.result()
-                    reports.append(rep)
-                    if fail_fast and rep.status == "fail":
-                        stop = True
-            for fut in pending:
-                fut.cancel()
+            reports = collect(pool.map(_verify_case, cases, chunksize=chunksize))
+            pool.shutdown(cancel_futures=True)
     reports.sort(key=lambda r: (r.identity, tuple(v for _, v in r.params)))
     return reports

@@ -117,12 +117,12 @@ def _emit(reports: list[VerificationReport], fmt: str, out) -> None:
             )
 
 
-def _exit_code(reports: list[VerificationReport], out) -> int:
+def _exit_code(reports: list[VerificationReport]) -> int:
     statuses = [r.status for r in reports]
     if "fail" in statuses:
         return 1
     if statuses and all(s == "skip" for s in statuses):
-        out.write("warning: every case was validity-skipped\n")
+        print("warning: every case was validity-skipped", file=sys.stderr)
     return 0
 
 
@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
     config = sweep_config_from_args(args)
     reports = run_config(config)
     _emit(reports, config.fmt, sys.stdout)
-    return _exit_code(reports, sys.stdout)
+    return _exit_code(reports)
 
 
 def _wz_rows(
@@ -244,7 +244,7 @@ def cmd_wz(args) -> int:
             break
     reports.sort(key=lambda r: (r.identity, tuple(v for _, v in r.params)))
     _emit(reports, args.format, sys.stdout)
-    return _exit_code(reports, sys.stdout)
+    return _exit_code(reports)
 
 
 def cmd_list(args) -> int:

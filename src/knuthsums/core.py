@@ -3,8 +3,9 @@
 Every value in this package is an exact rational (`fractions.Fraction`);
 nothing is ever rounded.  This module supplies the building blocks:
 rising factorials (Pochhammer symbols), generalized binomial coefficients
-with a rational upper argument, and memoized harmonic / odd-harmonic
-numbers.
+with a rational upper argument, the two binomial rows every shifted sum
+walks (choose(a, j) and choose(2k+2l, k)), and memoized harmonic /
+odd-harmonic numbers.
 """
 
 from __future__ import annotations
@@ -89,11 +90,29 @@ def gbinom(a: Fraction | int, m: int) -> Fraction:
     return falling(a, m) / math.factorial(m)
 
 
-def binom2k_shift(k: int, ell: Fraction | int) -> Fraction:
-    """choose(2k+2l, k) for rational shift l, equal to (k+2l+1)_k / k!."""
-    if k < 0:
-        raise ValueError(f"binom2k_shift index must be nonnegative, got {k}")
-    return gbinom(2 * k + 2 * Fraction(ell), k)
+def gbinom_row(a: Fraction | int, m: int) -> list[Fraction]:
+    """choose(a, j) for j = 0..m, each entry from the previous one by the
+    ratio (a-j+1)/j."""
+    a = Fraction(a)
+    row = [Fraction(1)]
+    for j in range(1, m + 1):
+        row.append(row[-1] * (a - j + 1) / j)
+    return row
+
+
+def binom2k_row(ell: Fraction | int, m: int) -> list[Fraction]:
+    """choose(2k+2l, k) for k = 0..m and a rational shift l, each entry from
+    the previous one by the ratio (2k+2l-1)(2k+2l) / ((k+2l) k), or
+    directly in the 0/0 steps that a negative half-integer l produces."""
+    two_ell = 2 * Fraction(ell)
+    row = [Fraction(1)]
+    for k in range(1, m + 1):
+        den = (k + two_ell) * k
+        if row[-1] == 0 or den == 0:
+            row.append(gbinom(2 * k + two_ell, k))
+        else:
+            row.append(row[-1] * (2 * k + two_ell - 1) * (2 * k + two_ell) / den)
+    return row
 
 
 class HarmonicCache:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import is_nonpositive_integer
+from .core import is_nonpositive_integer, pochhammer
 
 HALF = Fraction(1, 2)
 
@@ -114,13 +114,6 @@ def gamma_half(a: Fraction) -> Fraction:
     return Fraction((-4) ** m * math.factorial(m), math.factorial(2 * m))
 
 
-def _pochhammer(x: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(k):
-        out *= x + j
-    return out
-
-
 def reduce(expr: GammaExpr) -> GammaValue:
     """Reduce a Gamma product to a GammaValue.
 
@@ -159,7 +152,7 @@ def reduce(expr: GammaExpr) -> GammaValue:
         net = 0
         for arg, exp in members:
             shift = int(arg - base)
-            rational *= _pochhammer(base, shift) ** exp
+            rational *= pochhammer(base, shift) ** exp
             net += exp
         if net == 0:
             continue

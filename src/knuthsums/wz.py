@@ -30,9 +30,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .core import gbinom
+from .core import binom2k_row, gbinom_row
 
 HALF = Fraction(1, 2)
 
@@ -55,35 +55,54 @@ class WZPair:
     defined: Callable[[int, Fraction], bool]
 
 
-@lru_cache(maxsize=None)
-def _fall_row(a: Fraction, mmax: int) -> tuple[Fraction, ...]:
-    """falling(a, m) for m = 0..mmax, shared across a row sweep."""
-    out = [Fraction(1)]
-    for m in range(1, mmax + 1):
-        out.append(out[-1] * (a - m + 1))
-    return tuple(out)
+class _Rows(NamedTuple):
+    upper: tuple[Fraction, ...]
+    central: tuple[Fraction, ...]
+    b2k: tuple[Fraction, ...]
+    shifted: tuple[Fraction, ...]
 
 
-@lru_cache(maxsize=None)
-def _b2k(k: int, ell: Fraction) -> Fraction:
-    """choose(2k+2l, k), cached: reused by every row and both pairs."""
-    return gbinom(2 * k + 2 * ell, k)
+@lru_cache(maxsize=4)
+def _rows(n: int, ell: Fraction) -> _Rows:
+    """The binomial rows every pair reads at one (n, l):
+
+    upper[j] = choose(2n+l, j) and central[j] = C(2n, j) for j = 0..2n;
+    b2k[k] = choose(2k+2l, k) and shifted[k] = choose(k+l, k) for
+    k = 0..2n+2, the last index a companion G(n, k) reaches.
+
+    A residual check at n reads rows n and n+1 and the row sum row n, so
+    a sweep along n keeps hitting a handful of entries.
+    """
+    # choose(k+l, k) = (-1)^k choose(-l-1, k)
+    reflected = gbinom_row(-ell - 1, 2 * n + 2)
+    return _Rows(
+        tuple(gbinom_row(2 * n + ell, 2 * n)),
+        tuple(gbinom_row(2 * n, 2 * n)),
+        tuple(binom2k_row(ell, 2 * n + 2)),
+        tuple(-r if k % 2 else r for k, r in enumerate(reflected)),
+    )
 
 
-def _trunc_ratio(n2: int, shift: Fraction, k: int) -> Fraction:
-    """Gamma(n2+shift+1) / (Gamma(k+shift+1) Gamma(n2-k+3)) for integer k.
+def _trunc_ratio(upper: tuple[Fraction, ...], shift: Fraction, k: int) -> Fraction:
+    """Gamma(n2+shift+1) / (Gamma(k+shift+1) Gamma(n2-k+3)) for integer k,
+    given upper[m] = choose(n2+shift, m) for m = 0..n2.
 
     This is the certificate denominator absorbed into the binomial part of
-    F; it vanishes for k >= n2+3 and is finite everywhere else.
+    F; it vanishes for k >= n2+3.  At k = n2+1, n2+2 it is the reciprocal
+    of (n2+shift+1) or (n2+shift+1)(n2+shift+2): a pole where a factor
+    vanishes, which raises CertificateDenominatorZero.
     """
+    n2 = len(upper) - 1
     if k >= n2 + 3:
         return Fraction(0)
     if k <= n2:
         m = n2 - k
-        return _fall_row(n2 + shift, n2)[m] / math.factorial(m + 2)
-    if k == n2 + 1:
-        return 1 / (n2 + shift + 1)
-    return 1 / ((n2 + shift + 1) * (n2 + shift + 2))
+        return upper[m] / ((m + 1) * (m + 2))
+    factors = [top + shift for top in range(n2 + 1, k + 1)]
+    if 0 in factors:
+        top = n2 + 1 + factors.index(0)
+        raise CertificateDenominatorZero(f"Gamma ratio factor {top}+l vanishes at k={k}, l={shift}")
+    return 1 / math.prod(factors)
 
 
 def _cert_denominator(n: int, k: int) -> int:
@@ -115,24 +134,21 @@ def register_prop1_certificate() -> WZPair:
         F(n,k) = (-1/2)^k choose(2n+l, k+l) choose(2k+2l, k) 4^n / choose(2n+l, n)
     """
 
-    def norm(n: int, ell: Fraction) -> Fraction:
-        return _fall_row(2 * n + ell, 2 * n)[n] / math.factorial(n)
-
     def defined(n: int, ell: Fraction) -> bool:
-        return norm(n, ell) != 0
+        return _rows(n, ell).upper[n] != 0
 
     def f(n: int, k: int, ell: Fraction) -> Fraction:
         if k < 0 or k > 2 * n:
             return Fraction(0)
-        row = _fall_row(2 * n + ell, 2 * n)
-        upper = row[2 * n - k] / math.factorial(2 * n - k)
-        return (-HALF) ** k * upper * _b2k(k, ell) * 4**n / norm(n, ell)
+        rows = _rows(n, ell)
+        return (-HALF) ** k * rows.upper[2 * n - k] * rows.b2k[k] * 4**n / rows.upper[n]
 
     def g(n: int, k: int, ell: Fraction) -> Fraction:
         if k <= 0 or k >= 2 * n + 3:
             return Fraction(0)
-        head = Fraction(-k) * (k + 2 * ell) * (-HALF) ** k * _b2k(k, ell) * 4**n
-        return head * _trunc_ratio(2 * n, ell, k) / norm(n, ell)
+        rows = _rows(n, ell)
+        head = Fraction(-k) * (k + 2 * ell) * (-HALF) ** k * rows.b2k[k] * 4**n
+        return head * _trunc_ratio(rows.upper, ell, k) / rows.upper[n]
 
     return WZPair("prop1", f, _shared_certificate, g, _even_support, defined)
 
@@ -153,15 +169,17 @@ def register_prop2_certificate() -> WZPair:
     def f(n: int, k: int, ell: Fraction) -> Fraction:
         if k < 0 or k > 2 * n:
             return Fraction(0)
-        num = Fraction(math.comb(2 * n, k)) * _b2k(k, ell) * 4**n * gbinom(n + ell, n)
-        return (-HALF) ** k * num / (gbinom(k + ell, k) * math.comb(2 * n, n))
+        rows = _rows(n, ell)
+        num = rows.central[k] * rows.b2k[k] * 4**n * rows.shifted[n]
+        return (-HALF) ** k * num / (rows.shifted[k] * rows.central[n])
 
     def g(n: int, k: int, ell: Fraction) -> Fraction:
         if k <= 0 or k >= 2 * n + 3:
             return Fraction(0)
-        head = Fraction(-k) * (k + 2 * ell) * (-HALF) ** k * _b2k(k, ell) * 4**n
-        head *= gbinom(n + ell, n) / (gbinom(k + ell, k) * math.comb(2 * n, n))
-        return head * _trunc_ratio(2 * n, Fraction(0), k)
+        rows = _rows(n, ell)
+        head = Fraction(-k) * (k + 2 * ell) * (-HALF) ** k * rows.b2k[k] * 4**n
+        head *= rows.shifted[n] / (rows.shifted[k] * rows.central[n])
+        return head * _trunc_ratio(rows.central, Fraction(0), k)
 
     return WZPair("prop2", f, _shared_certificate, g, _even_support, defined)
 
@@ -177,15 +195,15 @@ def negative_control() -> WZPair:
     def f(n: int, k: int, ell: Fraction) -> Fraction:
         if k < 0 or k > 2 * n:
             return Fraction(0)
-        row = _fall_row(2 * n + ell, 2 * n)
-        upper = row[2 * n - k] / math.factorial(2 * n - k)
-        return (-HALF) ** k * upper * _b2k(k, ell) * 4**n
+        rows = _rows(n, ell)
+        return (-HALF) ** k * rows.upper[2 * n - k] * rows.b2k[k] * 4**n
 
     def g(n: int, k: int, ell: Fraction) -> Fraction:
         if k <= 0 or k >= 2 * n + 3:
             return Fraction(0)
-        head = Fraction(-k) * (k + 2 * ell + 1) * (-HALF) ** k * _b2k(k, ell) * 4**n
-        return head * _trunc_ratio(2 * n, ell, k)
+        rows = _rows(n, ell)
+        head = Fraction(-k) * (k + 2 * ell + 1) * (-HALF) ** k * rows.b2k[k] * 4**n
+        return head * _trunc_ratio(rows.upper, ell, k)
 
     return WZPair("negative-control", f, _corrupted_certificate, g, _even_support, defined)
 

@@ -1,9 +1,14 @@
 """Identity registry: frozen example values, validity routing, and the
 cross-identity structural properties (reindexing, specialization, parity)."""
 
+import dataclasses
+import math
+import multiprocessing
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from knuthsums import catalog
 from knuthsums.catalog import (
@@ -62,6 +67,54 @@ def test_prop1_handles_negative_half_integer_shifts():
             )
             assert catalog.prop1_lhs(n, ell) == direct
             assert direct == catalog.prop1_rhs(n, ell)
+
+
+def _literal_prop1(n, ell):
+    return sum(
+        (F(-1, 2) ** k * gbinom(n + ell, n - k) * gbinom(2 * k + 2 * ell, k) for k in range(n + 1)),
+        F(0),
+    )
+
+
+def _literal_prop2(n, ell):
+    return sum(
+        (
+            F(-1, 2) ** k * math.comb(n, k) * gbinom(2 * k + 2 * ell, k) / gbinom(k + ell, k)
+            for k in range(n + 1)
+        ),
+        F(0),
+    )
+
+
+def _literal_abel1(n, ell):
+    return sum(
+        (
+            F(-1, 2) ** k * gbinom(n + ell, n - k) * gbinom(2 * k + 2 * ell, k)
+            * F(k * (n - k)) / (k + 2 * ell + 1)
+            for k in range(n + 1)
+        ),
+        F(0),
+    )
+
+
+LITERAL_SUMS = {
+    "prop1-general-ell": _literal_prop1,
+    "prop2-general-ell": _literal_prop2,
+    "abel-first": _literal_abel1,
+}
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from(sorted(LITERAL_SUMS)),
+    st.integers(min_value=0, max_value=16),
+    st.builds(F, st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=6)),
+)
+def test_shifted_lhs_equals_literal_gbinom_sum(name, n, ell):
+    # the row-kernel LHS against one gbinom call per binomial entry
+    ident = REGISTRY[name]
+    assume(ident.validity(n=n, ell=ell))
+    assert ident.lhs(n=n, ell=ell) == LITERAL_SUMS[name](n, ell)
 
 
 def test_prop2_values():
@@ -192,6 +245,29 @@ def test_run_sweep_sorting_and_parallel_agreement():
     names = [r.identity for r in serial]
     assert names == sorted(names)
     assert all(r.status == "pass" for r in serial)
+
+
+def _knuth_rhs_wrong_at_5(n):
+    return catalog.knuth_rhs(n) + (n == 5)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched registry",
+)
+def test_run_sweep_fail_fast_prefix_independent_of_jobs(monkeypatch):
+    def strip(reports):
+        return [(r.identity, r.params, r.lhs, r.rhs, r.status, r.reason) for r in reports]
+
+    broken = dataclasses.replace(REGISTRY["knuth-old-sum"], rhs=_knuth_rhs_wrong_at_5)
+    monkeypatch.setitem(REGISTRY, "knuth-old-sum", broken)
+    names = ["abel-second", "knuth-old-sum"]
+    serial = run_sweep(names, 30, jobs=1, fail_fast=True)
+    # every abel-second case, then knuth-old-sum up to its failure at n = 5
+    assert len(serial) == 31 + 6
+    assert [r.status for r in serial].count("fail") == 1
+    for _ in range(3):
+        assert strip(run_sweep(names, 30, jobs=2, fail_fast=True)) == strip(serial)
 
 
 def test_run_sweep_rejects_unknown_names():

@@ -1,10 +1,12 @@
 """CLI behavior: sweeps, exit codes, report formats, and round-tripping."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
+import knuthsums
 from knuthsums import cli
 from knuthsums.catalog import REGISTRY
 from knuthsums.core import format_rational, parse_rational
@@ -166,6 +168,33 @@ def test_wz_fail_fast_stops_early(capsys):
     assert len(out.splitlines()) < 20
 
 
+def test_wz_boundary_pole_is_a_reasoned_skip(capsys):
+    # at l = -1 the companion's boundary factor 2n+l+1 vanishes for n = 0
+    code, out, _ = run_cli(
+        capsys, "wz", "--certificate", "prop1", "--ell=-1", "--n-max", "3",
+        "--format", "json",
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 8
+    skipped = [r for r in records if r["status"] == "skip"]
+    assert [(r["identity"], r["params"]["n"]) for r in skipped] == [("wz-prop1-residual", 0)]
+    assert "1+l vanishes" in skipped[0]["reason"]
+    assert all(r["status"] == "pass" for r in records if r not in skipped)
+
+
+def test_all_skipped_warning_goes_to_stderr(capsys):
+    for argv in (
+        ("verify", "--identity", "abel-first", "--ell=-1/2", "--n-max", "2"),
+        ("wz", "--certificate", "prop2", "--ell=-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records and all(r["status"] == "skip" for r in records)
+        assert "every case was validity-skipped" in err
+
+
 def test_wz_unknown_certificate(capsys):
     code, _, err = run_cli(capsys, "wz", "--certificate", "prop99")
     assert code == 2
@@ -186,10 +215,13 @@ def test_list_text_and_json(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(knuthsums.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "knuthsums", "verify", "--identity",
          "knuth-old-sum", "--n-max", "10", "--format", "summary"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "TOTAL" in proc.stdout

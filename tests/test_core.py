@@ -1,4 +1,5 @@
-"""Primitive arithmetic: Pochhammer, generalized binomials, harmonic caches."""
+"""Primitive arithmetic: Pochhammer, generalized binomials and their rows,
+harmonic caches."""
 
 import math
 import threading
@@ -51,18 +52,34 @@ def test_gbinom_pascal_rule(a, m):
     assert core.gbinom(a, m) == core.gbinom(a - 1, m) + core.gbinom(a - 1, m - 1)
 
 
-def test_binom2k_shift_values():
-    assert core.binom2k_shift(1, F(1, 2)) == core.gbinom(3, 1) == 3
-    assert core.binom2k_shift(2, 1) == math.comb(6, 2) == 15
+def test_binom2k_row_values():
+    assert core.binom2k_row(F(1, 2), 1)[1] == core.gbinom(3, 1) == 3
+    assert core.binom2k_row(1, 2)[2] == math.comb(6, 2) == 15
     for ell in (F(0), F(1, 3), F(-7, 5)):
-        assert core.binom2k_shift(0, ell) == 1
+        assert core.binom2k_row(ell, 0) == [1]
 
 
-def test_binom2k_shift_equals_pochhammer_form():
-    for k in range(12):
-        for ell in (F(0), F(1, 2), F(-1, 3), F(7, 5)):
+def test_binom2k_row_equals_pochhammer_form():
+    for ell in (F(0), F(1, 2), F(-1, 3), F(7, 5)):
+        row = core.binom2k_row(ell, 11)
+        for k in range(12):
             expected = core.pochhammer(k + 2 * ell + 1, k) / math.factorial(k)
-            assert core.binom2k_shift(k, ell) == expected
+            assert row[k] == expected
+
+
+@given(rationals, st.integers(min_value=0, max_value=30))
+def test_gbinom_row_matches_gbinom(a, m):
+    assert core.gbinom_row(a, m) == [core.gbinom(a, j) for j in range(m + 1)]
+
+
+half_integers = st.builds(lambda p: F(2 * p + 1, 2), st.integers(min_value=-30, max_value=30))
+
+
+@given(st.one_of(rationals, half_integers), st.integers(min_value=0, max_value=30))
+def test_binom2k_row_matches_gbinom(ell, m):
+    # at negative half-integers l the one-step ratio hits 0/0 steps and
+    # the row falls back to the direct product
+    assert core.binom2k_row(ell, m) == [core.gbinom(2 * k + 2 * ell, k) for k in range(m + 1)]
 
 
 def test_harmonic_values():
