@@ -7,7 +7,6 @@ finite sum is the universal oracle and closed forms must match it exactly.
 
 from .catalog import DEFAULT_ELL_GRID, REGISTRY, Identity, VerificationReport, run_sweep, verify
 from .core import (
-    Rational,
     format_rational,
     gbinom,
     harmonic,
@@ -28,7 +27,6 @@ __all__ = [
     "Identity",
     "Irreducible",
     "Pole",
-    "Rational",
     "REGISTRY",
     "VerificationReport",
     "Zero",

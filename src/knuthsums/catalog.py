@@ -18,6 +18,7 @@ from typing import Callable, Iterator
 
 from . import abel, legendre
 from .core import binom2k_row, format_rational, gbinom, gbinom_row, harmonic, odd_harmonic
+from .wz import CertificateDenominatorZero
 
 HALF = Fraction(1, 2)
 
@@ -393,7 +394,8 @@ def iter_cases(
 def verify(ident: Identity, params: dict) -> VerificationReport:
     """Evaluate both sides on one parameter assignment and compare exactly.
 
-    Validity-excluded cases are reported as skipped, never as passes;
+    Validity-excluded cases are reported as skipped, never as passes, and
+    so is a WZ certificate whose denominator vanishes at the case; other
     evaluator errors become failures carrying the error text.
     """
     flat = tuple((name, params[name]) for name in ident.param_names)
@@ -405,9 +407,11 @@ def verify(ident: Identity, params: dict) -> VerificationReport:
         rhs = ident.rhs(**params)
     except Exception as exc:  # captured, not propagated: the report is the API
         micros = (time.perf_counter_ns() - start) // 1000
-        return VerificationReport(
-            ident.name, flat, None, None, "fail", f"evaluator error: {exc}", micros
-        )
+        if isinstance(exc, CertificateDenominatorZero):
+            status, reason = "skip", f"certificate denominator zero: {exc}"
+        else:
+            status, reason = "fail", f"evaluator error: {exc}"
+        return VerificationReport(ident.name, flat, None, None, status, reason, micros)
     micros = (time.perf_counter_ns() - start) // 1000
     status = "pass" if lhs == rhs else "fail"
     reason = "" if status == "pass" else "lhs != rhs"

@@ -2,55 +2,43 @@
 certificates, and list the registry.
 
 Exit codes: 0 when every non-skipped case passes, 1 when any case fails,
-2 for configuration errors (unknown identity keys, malformed rationals).
+2 for configuration errors (unknown keys, malformed or repeated rationals).
 Rationals cross the wire as exact "p/q" strings, never floats.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import wz
-from .catalog import DEFAULT_ELL_GRID, REGISTRY, VerificationReport, run_sweep
-from .core import parse_rational
+from . import catalog, wz
+from .catalog import DEFAULT_ELL_GRID, REGISTRY, Identity, VerificationReport, run_sweep
+from .core import format_rational, parse_rational
 
 TSV_COLUMNS = ("identity", "params", "lhs", "rhs", "status", "micros")
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """A validated verification sweep: which identities, how far, over which
-    exact shift grid, and how to report."""
-
-    identities: tuple[str, ...]
-    n_max: int
-    ell_grid: tuple[Fraction, ...]
-    fmt: str = "summary"
-    fail_fast: bool = False
-    jobs: int = 1
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _resolve_identities(selector: str) -> list[str]:
+def _select(selector: str, valid, what: str) -> list[str]:
+    """The keys of `valid` named by a comma-separated selector, or all of
+    them for "all"."""
     if selector == "all":
-        return sorted(REGISTRY)
+        return sorted(valid)
     names = [s.strip() for s in selector.split(",") if s.strip()]
-    unknown = [n for n in names if n not in REGISTRY]
+    unknown = [n for n in names if n not in valid]
     if unknown:
         raise ConfigError(
-            f"unknown identity name(s): {', '.join(unknown)}\n"
-            f"valid keys: {', '.join(sorted(REGISTRY))}"
+            f"unknown {what} name(s): {', '.join(unknown)}\n"
+            f"valid keys: {', '.join(sorted(valid))}"
         )
     if not names:
-        raise ConfigError("no identity names given")
+        raise ConfigError(f"no {what} names given")
     return names
 
 
@@ -63,7 +51,19 @@ def _parse_grid(literals: str | None) -> tuple[Fraction, ...]:
         raise ConfigError(str(exc)) from None
     if not values:
         raise ConfigError("empty --ell grid")
+    seen: set[Fraction] = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"--ell repeats the shift {format_rational(value)}")
+        seen.add(value)
     return values
+
+
+def _sweep_grid(args) -> tuple[int, tuple[Fraction, ...]]:
+    """The validated --n-max and --ell of a sweeping subcommand."""
+    if args.n_max < 0:
+        raise ConfigError(f"--n-max must be nonnegative, got {args.n_max}")
+    return args.n_max, _parse_grid(args.ell)
 
 
 def _params_compact(rec: dict) -> str:
@@ -126,121 +126,55 @@ def _exit_code(reports: list[VerificationReport]) -> int:
     return 0
 
 
-def sweep_config_from_args(args) -> SweepConfig:
-    if args.n_max < 0:
-        raise ConfigError(f"--n-max must be nonnegative, got {args.n_max}")
+def cmd_verify(args) -> int:
+    names = _select(args.identity, REGISTRY, "identity")
+    n_max, grid = _sweep_grid(args)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be positive, got {args.jobs}")
-    return SweepConfig(
-        identities=tuple(_resolve_identities(args.identity)),
-        n_max=args.n_max,
-        ell_grid=_parse_grid(args.ell),
-        fmt=args.format,
-        fail_fast=args.fail_fast,
-        jobs=args.jobs,
-    )
-
-
-def run_config(config: SweepConfig) -> list[VerificationReport]:
-    return run_sweep(
-        list(config.identities),
-        config.n_max,
-        config.ell_grid,
-        jobs=config.jobs,
-        fail_fast=config.fail_fast,
-    )
-
-
-def cmd_verify(args) -> int:
-    config = sweep_config_from_args(args)
-    reports = run_config(config)
-    _emit(reports, config.fmt, sys.stdout)
+    reports = run_sweep(names, n_max, grid, jobs=args.jobs, fail_fast=args.fail_fast)
+    _emit(reports, args.format, sys.stdout)
     return _exit_code(reports)
 
 
-def _wz_rows(
-    pair: wz.WZPair, n: int, ell: Fraction
-) -> list[VerificationReport]:
-    """Residual record (over the widened k range -1..2n+3) plus the row-sum
-    record for one (n, ell)."""
-    params = (("n", n), ("ell", ell))
-    rows: list[VerificationReport] = []
-    zero = Fraction(0)
-    start = time.perf_counter_ns()
-    try:
-        bad = zero
-        for k in range(-1, 2 * n + 4):
-            r = wz.wz_residual(pair, n, k, ell)
-            if r != 0:
-                bad = r
-                break
-        micros = (time.perf_counter_ns() - start) // 1000
-        status = "pass" if bad == 0 else "fail"
-        rows.append(
-            VerificationReport(
-                f"wz-{pair.name}-residual", params, bad, zero, status,
-                "" if status == "pass" else "nonzero residual", micros,
-            )
-        )
-    except wz.CertificateDenominatorZero as exc:
-        micros = (time.perf_counter_ns() - start) // 1000
-        rows.append(
-            VerificationReport(
-                f"wz-{pair.name}-residual", params, None, None, "skip",
-                f"certificate denominator zero: {exc}", micros,
-            )
-        )
-    start = time.perf_counter_ns()
-    try:
-        if not pair.defined(n, ell):
-            raise wz.CertificateDenominatorZero(f"undefined at n={n}, l={ell}")
-        total = sum((pair.F(n, k, ell) for k in pair.support(n)), zero)
-        micros = (time.perf_counter_ns() - start) // 1000
-        status = "pass" if total == 1 else "fail"
-        rows.append(
-            VerificationReport(
-                f"wz-{pair.name}-row-sum", params, total, Fraction(1), status,
-                "" if status == "pass" else "row sum differs from 1", micros,
-            )
-        )
-    except wz.CertificateDenominatorZero as exc:
-        micros = (time.perf_counter_ns() - start) // 1000
-        rows.append(
-            VerificationReport(
-                f"wz-{pair.name}-row-sum", params, None, None, "skip",
-                f"certificate denominator zero: {exc}", micros,
-            )
-        )
-    return rows
+def _wz_checks(pair: wz.WZPair) -> tuple[Identity, Identity]:
+    """One pair's residual check (over the widened k range -1..2n+3) and
+    row-sum check, as identities over (n, l)."""
+    return (
+        Identity(
+            f"wz-{pair.name}-residual",
+            "F(n+1,k) - F(n,k) = G(n,k+1) - G(n,k) for k = -1..2n+3",
+            ("n", "ell"),
+            "int-ell",
+            lambda n, ell: wz.residual_grid(pair, n, ell),
+            lambda n, ell: Fraction(0),
+        ),
+        Identity(
+            f"wz-{pair.name}-row-sum",
+            "sum_k F(n,k) = 1",
+            ("n", "ell"),
+            "int-ell",
+            lambda n, ell: wz.row_sum(pair, n, ell),
+            lambda n, ell: Fraction(1),
+        ),
+    )
+
+
+def _wz_rows(checks: tuple[Identity, ...], n: int, ell: Fraction) -> list[VerificationReport]:
+    """The records of one pair's checks at one (n, l)."""
+    return [catalog.verify(check, {"n": n, "ell": ell}) for check in checks]
 
 
 def cmd_wz(args) -> int:
     pairs = wz.certificates()
-    if args.certificate == "all":
-        chosen = sorted(pairs)
-    else:
-        chosen = [s.strip() for s in args.certificate.split(",") if s.strip()]
-        unknown = [c for c in chosen if c not in pairs]
-        if unknown:
-            raise ConfigError(
-                f"unknown certificate(s): {', '.join(unknown)}; valid: {', '.join(sorted(pairs))}"
-            )
-    grid = _parse_grid(args.ell)
-    if args.n_max < 0:
-        raise ConfigError(f"--n-max must be nonnegative, got {args.n_max}")
+    names = _select(args.certificate, pairs, "certificate")
+    n_max, grid = _sweep_grid(args)
+    checks = [_wz_checks(pairs[name]) for name in names]
     reports: list[VerificationReport] = []
-    stop = False
-    for name in chosen:
-        for ell in grid:
-            for n in range(args.n_max + 1):
-                rows = _wz_rows(pairs[name], n, ell)
-                reports.extend(rows)
-                if args.fail_fast and any(r.status == "fail" for r in rows):
-                    stop = True
-                    break
-            if stop:
-                break
-        if stop:
+    # the case order (pair, l, n) fixes which prefix --fail-fast prints
+    for pair_checks, ell, n in itertools.product(checks, grid, range(n_max + 1)):
+        rows = _wz_rows(pair_checks, n, ell)
+        reports.extend(rows)
+        if args.fail_fast and any(r.status == "fail" for r in rows):
             break
     reports.sort(key=lambda r: (r.identity, tuple(v for _, v in r.params)))
     _emit(reports, args.format, sys.stdout)

@@ -15,10 +15,6 @@ import re
 import threading
 from fractions import Fraction
 
-# The universal exact value type.  Alias so callers can write
-# `core.Rational` without importing fractions themselves.
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -43,10 +39,6 @@ def format_rational(value: Fraction | int) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def is_integer(x: Fraction | int) -> bool:
-    return Fraction(x).denominator == 1
 
 
 def is_nonpositive_integer(x: Fraction | int) -> bool:

@@ -45,11 +45,6 @@ class GammaExpr:
         )
         self.scalar: Fraction = s
 
-    def __mul__(self, other: "GammaExpr") -> "GammaExpr":
-        return GammaExpr(
-            list(self.factors) + list(other.factors), self.scalar * other.scalar
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GammaExpr):
             return NotImplemented
@@ -75,11 +70,6 @@ class Finite(GammaValue):
 
     q: Fraction
     s: int
-
-    def as_rational(self) -> Fraction:
-        if self.s != 0:
-            raise ValueError(f"value carries pi^({self.s}/2), not rational")
-        return self.q
 
 
 @dataclass(frozen=True)

@@ -246,14 +246,26 @@ def wz_residual(pair: WZPair, n: int, k: int, ell: Fraction | int) -> Fraction:
     )
 
 
+def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
+    """The first nonzero residual over the widened range k = -1..2n+3, or 0
+    when the pair equation holds at every point of it."""
+    for k in range(-1, 2 * n + 4):
+        r = wz_residual(pair, n, k, ell)
+        if r != 0:
+            return r
+    return Fraction(0)
+
+
+def row_sum(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
+    """sum_k F(n, k) over row n's support; 1 for a verified pair."""
+    ell = Fraction(ell)
+    if not pair.defined(n, ell):
+        raise CertificateDenominatorZero(
+            f"pair {pair.name} undefined at n={n}, l={ell}"
+        )
+    return sum((pair.F(n, k, ell) for k in pair.support(n)), Fraction(0))
+
+
 def wz_sum_constant(pair: WZPair, n_max: int, ell: Fraction | int) -> list[Fraction]:
     """Row sums sum_k F(n, k) for n = 0..n_max; all 1 for a verified pair."""
-    ell = Fraction(ell)
-    sums = []
-    for n in range(n_max + 1):
-        if not pair.defined(n, ell):
-            raise CertificateDenominatorZero(
-                f"pair {pair.name} undefined at n={n}, l={ell}"
-            )
-        sums.append(sum((pair.F(n, k, ell) for k in pair.support(n)), Fraction(0)))
-    return sums
+    return [row_sum(pair, n, ell) for n in range(n_max + 1)]

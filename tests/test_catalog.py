@@ -20,6 +20,7 @@ from knuthsums.catalog import (
     verify,
 )
 from knuthsums.core import gbinom, harmonic, odd_harmonic
+from knuthsums.wz import CertificateDenominatorZero
 
 EXPECTED_KEYS = {
     "knuth-old-sum",
@@ -211,6 +212,16 @@ def test_verify_captures_evaluator_errors_as_failures():
     rep = verify(broken, {"n": 1})
     assert rep.status == "fail"
     assert "synthetic failure" in rep.reason
+
+
+def test_verify_skips_vanishing_certificate_denominators():
+    def pole(n):
+        raise CertificateDenominatorZero("certificate denominator vanishes at n=1")
+
+    cert = Identity("cert", "pole at n=1", ("n",), "int", pole, catalog.knuth_rhs)
+    rep = verify(cert, {"n": 1})
+    assert rep.status == "skip" and rep.lhs is None
+    assert rep.reason == "certificate denominator zero: certificate denominator vanishes at n=1"
 
 
 def test_verify_flags_inequality():

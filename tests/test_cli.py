@@ -1,5 +1,7 @@
 """CLI behavior: sweeps, exit codes, report formats, and round-tripping."""
 
+import collections
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ import sys
 from fractions import Fraction as F
 
 import knuthsums
-from knuthsums import cli
+from knuthsums import cli, wz
 from knuthsums.catalog import REGISTRY
 from knuthsums.core import format_rational, parse_rational
 
@@ -69,16 +71,36 @@ def test_nonpositive_jobs_rejected(capsys):
     assert "jobs" in err
 
 
-def test_sweep_config_is_validated_up_front():
-    parser = cli.build_parser()
-    args = parser.parse_args(
-        ["verify", "--identity", "knuth-old-sum", "--n-max", "7", "--ell", "2/3"]
+def test_sweep_config_is_validated_up_front(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "knuth-old-sum", "--n-max", "7",
+        "--ell", "2/3", "--format", "json",
     )
-    config = cli.sweep_config_from_args(args)
-    assert config.identities == ("knuth-old-sum",)
-    assert config.ell_grid == (F(2, 3),)
-    reports = cli.run_config(config)
-    assert len(reports) == 8 and all(r.passed for r in reports)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["params"] for r in records] == [{"n": n} for n in range(8)]
+    assert all(r["status"] == "pass" for r in records)
+
+
+def test_empty_selector_is_config_error(capsys):
+    for flag, sub in (("--identity", "verify"), ("--certificate", "wz")):
+        for selector in (",", ""):
+            code, out, err = run_cli(capsys, sub, flag, selector, "--n-max", "1")
+            assert code == 2, (sub, selector)
+            assert out == ""
+            assert "names given" in err
+
+
+def test_repeated_shift_is_config_error(capsys):
+    # 2/4 only equals 1/2 once normalised
+    for argv in (
+        ("verify", "--identity", "prop2-general-ell"),
+        ("wz", "--certificate", "prop1"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--n-max", "0", "--ell", "1/2,2/4")
+        assert code == 2
+        assert out == ""
+        assert "repeats the shift 1/2" in err
 
 
 def test_json_records_round_trip(capsys):
@@ -165,7 +187,53 @@ def test_wz_fail_fast_stops_early(capsys):
         "--ell", "1/2", "--format", "json", "--fail-fast",
     )
     assert code == 1
-    assert len(out.splitlines()) < 20
+    # the first case (n = 0) already fails: both of its records, nothing more
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["identity"], r["params"], r["status"]) for r in records] == [
+        ("wz-negative-control-residual", {"n": 0, "ell": "1/2"}, "fail"),
+        ("wz-negative-control-row-sum", {"n": 0, "ell": "1/2"}, "pass"),
+    ]
+    assert records[0]["reason"] == "lhs != rhs"
+
+
+def test_wz_rows_report_evaluator_errors():
+    def broken(n, k, ell):
+        raise ValueError("synthetic failure")
+
+    pair = wz.WZPair(
+        "broken", broken, broken, broken, lambda n: range(2 * n + 1), lambda n, ell: True
+    )
+    rows = cli._wz_rows(cli._wz_checks(pair), 1, F(1, 2))
+    assert [(r.identity, r.status) for r in rows] == [
+        ("wz-broken-residual", "fail"),
+        ("wz-broken-row-sum", "fail"),
+    ]
+    assert all(r.reason == "evaluator error: synthetic failure" for r in rows)
+
+
+def test_wz_trace_hooks_fire(capsys, monkeypatch):
+    # the benchmark's traced run replaces these names in place; a wz path
+    # that bypasses them would silently drop its per-layer split
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    certificates = wz.certificates
+    monkeypatch.setattr(wz, "certificates", lambda: {
+        name: dataclasses.replace(pair, F=counted("F", pair.F), G=counted("G", pair.G))
+        for name, pair in certificates().items()
+    })
+    monkeypatch.setattr(cli, "_wz_rows", counted("_wz_rows", cli._wz_rows))
+    monkeypatch.setattr(wz, "wz_residual", counted("wz_residual", wz.wz_residual))
+    code, out, _ = run_cli(capsys, "wz", "--n-max", "2", "--ell", "1/2")
+    assert code == 1  # the negative control fails
+    assert calls["_wz_rows"] == 3 * 3  # once per (pair, n, l)
+    assert calls["wz_residual"] and calls["F"] and calls["G"]
 
 
 def test_wz_boundary_pole_is_a_reasoned_skip(capsys):

@@ -72,6 +72,19 @@ def test_row_sums_ignore_out_of_support_tails():
             assert widened == 1
 
 
+def test_residual_grid_and_row_sum():
+    for name in ("prop1", "prop2"):
+        pair = PAIRS[name]
+        for n in range(5):
+            assert wz.residual_grid(pair, n, F(1, 3)) == 0
+            assert wz.row_sum(pair, n, F(1, 3)) == 1
+    neg = PAIRS["negative-control"]
+    n, ell = 1, F(1, 2)
+    residuals = [wz.wz_residual(neg, n, k, ell) for k in range(-1, 2 * n + 4)]
+    assert wz.residual_grid(neg, n, ell) == next(r for r in residuals if r != 0)
+    assert wz.row_sum(neg, 3, F(1, 2)) == wz.wz_sum_constant(neg, 3, F(1, 2))[3] != 1
+
+
 def test_undefined_shift_reported_distinctly():
     pair = PAIRS["prop1"]
     # l = -3 zeroes choose(2n+l, n) at n = 2, so row 2 is undefined
@@ -80,6 +93,8 @@ def test_undefined_shift_reported_distinctly():
         wz.wz_residual(pair, 2, 1, F(-3))
     with pytest.raises(wz.CertificateDenominatorZero):
         wz.wz_sum_constant(pair, 4, F(-3))
+    with pytest.raises(wz.CertificateDenominatorZero, match="pair prop1 undefined"):
+        wz.row_sum(pair, 2, F(-3))
 
 
 def test_negative_control_breaks_residual_and_row_sums():
