@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import abel, legendre
-from .core import binom2k_row, format_rational, gbinom, gbinom_row, harmonic, odd_harmonic
-from .wz import CertificateDenominatorZero
+from .core import CertificateDenominatorZero, binom2k_row, format_rational, gbinom, gbinom_row
+from .core import harmonic, odd_harmonic
 
 HALF = Fraction(1, 2)
 

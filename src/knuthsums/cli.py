@@ -2,7 +2,8 @@
 certificates, and list the registry.
 
 Exit codes: 0 when every non-skipped case passes, 1 when any case fails,
-2 for configuration errors (unknown keys, malformed or repeated rationals).
+2 for configuration errors (unknown or repeated keys, malformed or repeated
+rationals).
 Rationals cross the wire as exact "p/q" strings, never floats.
 """
 
@@ -39,6 +40,9 @@ def _select(selector: str, valid, what: str) -> list[str]:
         )
     if not names:
         raise ConfigError(f"no {what} names given")
+    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if repeated:
+        raise ConfigError(f"--{what} repeats the name {repeated}")
     return names
 
 

@@ -18,6 +18,11 @@ from fractions import Fraction
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
+class CertificateDenominatorZero(ZeroDivisionError):
+    """A WZ certificate's denominator vanishes at an evaluation point: raised
+    in `wz`, reported as a skip by `catalog.verify`."""
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal `p` or `p/q`.
 

@@ -16,12 +16,13 @@ the factor 1/Gamma(2n-k+1) inside F cancels through
 
     (k-2n-1)(k-2n-2) Gamma(2n-k+1) = Gamma(2n-k+3).
 
-Each registered pair therefore carries an explicit companion evaluator
-with that cancellation performed, so the pair equation can be verified at
-every grid point, boundary included.  Evaluating a bare certificate where
-its denominator vanishes (and nothing cancels) raises
-CertificateDenominatorZero, which callers report separately from a
-nonzero residual.
+Every pair is built by `_pair` from one spec (the binomial row its
+summand reads, its normalisation, its certificate numerator), which
+derives F, R and a companion G with that cancellation performed, so the
+pair equation can be verified at every grid point, boundary included.
+Evaluating a bare certificate where its denominator vanishes (and
+nothing cancels) raises CertificateDenominatorZero, which callers report
+separately from a nonzero residual.
 """
 
 from __future__ import annotations
@@ -32,26 +33,21 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .core import binom2k_row, gbinom_row
+from .core import CertificateDenominatorZero, binom2k_row, gbinom_row
 
 HALF = Fraction(1, 2)
 
 
-class CertificateDenominatorZero(ZeroDivisionError):
-    """The certificate's denominator vanishes at an evaluation point."""
-
-
 @dataclass(frozen=True)
 class WZPair:
-    """Summand F, certificate R, companion G = R*F (cancellations done),
-    the k-support of row n, and the parameter domain where everything is
-    defined."""
+    """Summand F (supported on k = 0..2n), certificate R, companion
+    G = R*F (cancellations done), and the parameter domain where
+    everything is defined."""
 
     name: str
     F: Callable[[int, int, Fraction], Fraction]
     R: Callable[[int, int, Fraction], Fraction]
     G: Callable[[int, int, Fraction], Fraction]
-    support: Callable[[int], range]
     defined: Callable[[int, Fraction], bool]
 
 
@@ -105,27 +101,49 @@ def _trunc_ratio(upper: tuple[Fraction, ...], shift: Fraction, k: int) -> Fracti
     return 1 / math.prod(factors)
 
 
-def _cert_denominator(n: int, k: int) -> int:
-    return (k - 2 * n - 1) * (k - 2 * n - 2)
+def _pair(
+    name: str,
+    row: Callable[[_Rows, Fraction], tuple[tuple[Fraction, ...], Fraction]],
+    defined: Callable[[int, Fraction], bool],
+    normalise: Callable[[Fraction, _Rows, int, int], Fraction] | None = None,
+    offset: int = 0,
+) -> WZPair:
+    """The pair whose summand reads the binomial row `row(rows, l)` picks,
+    returned with that row's shift:
 
+        F(n,k) = (-1/2)^k choose(2k+2l, k) 4^n row[2n-k] * normalisation
+        R(n,k) = -k(k+offset+2l) / ((k-2n-1)(k-2n-2))
+        G(n,k) = -k(k+offset+2l) (-1/2)^k choose(2k+2l, k) 4^n
+                 * _trunc_ratio(row, shift, k) * normalisation
 
-def _shared_certificate(n: int, k: int, ell: Fraction) -> Fraction:
-    """-k(k+2l) / ((k-2n-1)(k-2n-2)), the certificate both registered pairs share."""
-    den = _cert_denominator(n, k)
-    if den == 0:
-        raise CertificateDenominatorZero(f"certificate denominator vanishes at n={n}, k={k}")
-    return Fraction(-k) * (k + 2 * ell) / den
+    F lives on k = 0..2n and G on k = 1..2n+2; `normalise(value, rows,
+    n, k)` is applied last, to both.
+    """
 
+    def F(n: int, k: int, ell: Fraction) -> Fraction:
+        if k < 0 or k > 2 * n:
+            return Fraction(0)
+        rows = _rows(n, ell)
+        binoms, _ = row(rows, ell)
+        value = (-HALF) ** k * binoms[2 * n - k] * rows.b2k[k] * 4**n
+        return normalise(value, rows, n, k) if normalise else value
 
-def _corrupted_certificate(n: int, k: int, ell: Fraction) -> Fraction:
-    den = _cert_denominator(n, k)
-    if den == 0:
-        raise CertificateDenominatorZero(f"certificate denominator vanishes at n={n}, k={k}")
-    return Fraction(-k) * (k + 2 * ell + 1) / den
+    def R(n: int, k: int, ell: Fraction) -> Fraction:
+        den = (k - 2 * n - 1) * (k - 2 * n - 2)
+        if den == 0:
+            raise CertificateDenominatorZero(f"certificate denominator vanishes at n={n}, k={k}")
+        return Fraction(-k) * ((k + offset) + 2 * ell) / den
 
+    def G(n: int, k: int, ell: Fraction) -> Fraction:
+        if k <= 0 or k >= 2 * n + 3:
+            return Fraction(0)
+        rows = _rows(n, ell)
+        binoms, shift = row(rows, ell)
+        head = Fraction(-k) * ((k + offset) + 2 * ell) * (-HALF) ** k * rows.b2k[k] * 4**n
+        value = head * _trunc_ratio(binoms, shift, k)
+        return normalise(value, rows, n, k) if normalise else value
 
-def _even_support(n: int) -> range:
-    return range(0, 2 * n + 1)
+    return WZPair(name, F, R, G, defined)
 
 
 def register_prop1_certificate() -> WZPair:
@@ -133,24 +151,12 @@ def register_prop1_certificate() -> WZPair:
 
         F(n,k) = (-1/2)^k choose(2n+l, k+l) choose(2k+2l, k) 4^n / choose(2n+l, n)
     """
-
-    def defined(n: int, ell: Fraction) -> bool:
-        return _rows(n, ell).upper[n] != 0
-
-    def f(n: int, k: int, ell: Fraction) -> Fraction:
-        if k < 0 or k > 2 * n:
-            return Fraction(0)
-        rows = _rows(n, ell)
-        return (-HALF) ** k * rows.upper[2 * n - k] * rows.b2k[k] * 4**n / rows.upper[n]
-
-    def g(n: int, k: int, ell: Fraction) -> Fraction:
-        if k <= 0 or k >= 2 * n + 3:
-            return Fraction(0)
-        rows = _rows(n, ell)
-        head = Fraction(-k) * (k + 2 * ell) * (-HALF) ** k * rows.b2k[k] * 4**n
-        return head * _trunc_ratio(rows.upper, ell, k) / rows.upper[n]
-
-    return WZPair("prop1", f, _shared_certificate, g, _even_support, defined)
+    return _pair(
+        "prop1",
+        lambda rows, ell: (rows.upper, ell),
+        defined=lambda n, ell: _rows(n, ell).upper[n] != 0,
+        normalise=lambda value, rows, n, k: value / rows.upper[n],
+    )
 
 
 def register_prop2_certificate() -> WZPair:
@@ -159,53 +165,27 @@ def register_prop2_certificate() -> WZPair:
         F(n,k) = (-1/2)^k C(2n,k) choose(2k+2l, k) 4^n choose(n+l, n)
                  / (choose(k+l, k) C(2n,n))
     """
-
-    def defined(n: int, ell: Fraction) -> bool:
+    return _pair(
+        "prop2",
+        lambda rows, ell: (rows.central, Fraction(0)),
         # choose(k+l, k) = (l+1)_k / k! must stay nonzero through k = 2n+2
-        if ell.denominator != 1:
-            return True
-        return not (-(2 * n + 2) <= ell <= -1)
-
-    def f(n: int, k: int, ell: Fraction) -> Fraction:
-        if k < 0 or k > 2 * n:
-            return Fraction(0)
-        rows = _rows(n, ell)
-        num = rows.central[k] * rows.b2k[k] * 4**n * rows.shifted[n]
-        return (-HALF) ** k * num / (rows.shifted[k] * rows.central[n])
-
-    def g(n: int, k: int, ell: Fraction) -> Fraction:
-        if k <= 0 or k >= 2 * n + 3:
-            return Fraction(0)
-        rows = _rows(n, ell)
-        head = Fraction(-k) * (k + 2 * ell) * (-HALF) ** k * rows.b2k[k] * 4**n
-        head *= rows.shifted[n] / (rows.shifted[k] * rows.central[n])
-        return head * _trunc_ratio(rows.central, Fraction(0), k)
-
-    return WZPair("prop2", f, _shared_certificate, g, _even_support, defined)
+        defined=lambda n, ell: ell.denominator != 1 or not -(2 * n + 2) <= ell <= -1,
+        normalise=lambda value, rows, n, k: (
+            value * rows.shifted[n] / (rows.shifted[k] * rows.central[n])
+        ),
+    )
 
 
 def negative_control() -> WZPair:
     """A deliberately broken pair: the summand is left unnormalized (its
     row sums grow with n) and the certificate numerator is corrupted to
     k(k+2l+1).  Both the residual check and the row-sum check must fail."""
-
-    def defined(n: int, ell: Fraction) -> bool:
-        return True
-
-    def f(n: int, k: int, ell: Fraction) -> Fraction:
-        if k < 0 or k > 2 * n:
-            return Fraction(0)
-        rows = _rows(n, ell)
-        return (-HALF) ** k * rows.upper[2 * n - k] * rows.b2k[k] * 4**n
-
-    def g(n: int, k: int, ell: Fraction) -> Fraction:
-        if k <= 0 or k >= 2 * n + 3:
-            return Fraction(0)
-        rows = _rows(n, ell)
-        head = Fraction(-k) * (k + 2 * ell + 1) * (-HALF) ** k * rows.b2k[k] * 4**n
-        return head * _trunc_ratio(rows.upper, ell, k)
-
-    return WZPair("negative-control", f, _corrupted_certificate, g, _even_support, defined)
+    return _pair(
+        "negative-control",
+        lambda rows, ell: (rows.upper, ell),
+        defined=lambda n, ell: True,
+        offset=1,
+    )
 
 
 def certificates() -> dict[str, WZPair]:
@@ -257,13 +237,13 @@ def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
 
 
 def row_sum(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
-    """sum_k F(n, k) over row n's support; 1 for a verified pair."""
+    """sum_k F(n, k) over row n's support k = 0..2n; 1 for a verified pair."""
     ell = Fraction(ell)
     if not pair.defined(n, ell):
         raise CertificateDenominatorZero(
             f"pair {pair.name} undefined at n={n}, l={ell}"
         )
-    return sum((pair.F(n, k, ell) for k in pair.support(n)), Fraction(0))
+    return sum((pair.F(n, k, ell) for k in range(2 * n + 1)), Fraction(0))
 
 
 def wz_sum_constant(pair: WZPair, n_max: int, ell: Fraction | int) -> list[Fraction]:

@@ -103,6 +103,18 @@ def test_repeated_shift_is_config_error(capsys):
         assert "repeats the shift 1/2" in err
 
 
+def test_repeated_selector_is_config_error(capsys):
+    # a name given twice would check every one of its cases twice
+    for argv in (
+        ("verify", "--identity", "knuth-old-sum,knuth-old-sum", "--n-max", "1"),
+        ("wz", "--certificate", "prop1,prop1", "--n-max", "0", "--ell", "1/2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert f"{argv[1]} repeats the name {argv[2].split(',')[0]}" in err
+
+
 def test_json_records_round_trip(capsys):
     _, out, _ = run_cli(
         capsys, "verify", "--identity", "prop2-general-ell,abel-first",
@@ -200,9 +212,7 @@ def test_wz_rows_report_evaluator_errors():
     def broken(n, k, ell):
         raise ValueError("synthetic failure")
 
-    pair = wz.WZPair(
-        "broken", broken, broken, broken, lambda n: range(2 * n + 1), lambda n, ell: True
-    )
+    pair = wz.WZPair("broken", broken, broken, broken, lambda n, ell: True)
     rows = cli._wz_rows(cli._wz_checks(pair), 1, F(1, 2))
     assert [(r.identity, r.status) for r in rows] == [
         ("wz-broken-residual", "fail"),
@@ -234,6 +244,29 @@ def test_wz_trace_hooks_fire(capsys, monkeypatch):
     assert code == 1  # the negative control fails
     assert calls["_wz_rows"] == 3 * 3  # once per (pair, n, l)
     assert calls["wz_residual"] and calls["F"] and calls["G"]
+
+
+def test_benchmark_trace_hooks_exist(monkeypatch):
+    # the benchmark's traced run replaces these names; deleting one would
+    # pass every other test and crash only that run
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    )
+    import tracing
+    from knuthsums import catalog, core, gammaprod, hyper, legendre
+
+    hooked = [(core, name) for name in tracing.CORE_FUNCTIONS] + [
+        (cli, "_wz_rows"), (cli, "run_sweep"), (catalog, "verify"),
+        (wz, "wz_residual"), (wz, "certificates"),
+        (hyper, "eval_terminating"), (gammaprod, "reduce"),
+        (legendre, "moment"), (legendre, "moment_by_expansion"), (legendre, "shifted_legendre"),
+    ]
+    for module, name in hooked:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    for ident in REGISTRY.values():
+        dataclasses.replace(ident, lhs=ident.lhs, rhs=ident.rhs, validity=ident.validity)
+    for pair in wz.certificates().values():
+        dataclasses.replace(pair, F=pair.F, G=pair.G)
 
 
 def test_wz_boundary_pole_is_a_reasoned_skip(capsys):

@@ -15,10 +15,21 @@ def test_registered_names():
     assert set(PAIRS) == {"prop1", "prop2", "negative-control"}
 
 
-def test_support_is_even_window():
+def test_companion_is_certificate_times_summand():
+    # on the support k = 0..2n, where R has no pole, the companion each
+    # pair derives must be R * F exactly
+    points = 0
     for pair in PAIRS.values():
-        assert pair.support(0) == range(0, 1)
-        assert pair.support(4) == range(0, 9)
+        for ell in (F(0), F(1, 2), F(-1, 3), F(7, 5), F(-5, 2)):
+            for n in range(6):
+                if not pair.defined(n, ell):
+                    continue
+                for k in range(2 * n + 1):
+                    assert pair.G(n, k, ell) == pair.R(n, k, ell) * pair.F(n, k, ell), (
+                        pair.name, n, k, ell,
+                    )
+                    points += 1
+    assert points == 540
 
 
 def test_companion_vanishes_at_k_zero():
@@ -126,7 +137,6 @@ def test_corrupted_denominator_control():
         good.F,
         bad_r,
         wz.naive_companion(good.F, bad_r),
-        good.support,
         good.defined,
     )
     hits = [
