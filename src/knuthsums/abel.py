@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import binom2k_row, gbinom, gbinom_row, pochhammer
+from .core import binom2k_numerators, gbinom, gbinom_numerators, pochhammer
 
 
 @dataclass(frozen=True)
@@ -69,29 +69,36 @@ def first_pair(n: int, ell: Fraction | int, cutoff: int | None = None) -> Sequen
 
 
 def abel1_valid(n: int, ell: Fraction | int) -> bool:
-    """k+2l+1 must stay nonzero on 0..n and l must avoid the negative
-    integers >= -n where the binomials' Gamma form degenerates."""
+    """k+2l+1 must stay nonzero on 0..n, that is 2l+1 must not be an
+    integer in [-n, 0], and l must avoid the negative integers >= -n where
+    the binomials' Gamma form degenerates."""
     ell = Fraction(ell)
     if ell.denominator == 1 and -n <= ell < 0:
         return False
-    for k in range(n + 1):
-        if k + 2 * ell + 1 == 0:
-            return False
-    return True
+    pole = 2 * ell + 1
+    return not (pole.denominator == 1 and -n <= pole <= 0)
 
 
 def abel1_lhs(n: int, ell: Fraction | int) -> Fraction:
-    """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k) k(n-k)/(k+2l+1)."""
+    """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k) k(n-k)/(k+2l+1).
+
+    With l = a/b these are prop1's integer terms over 2^n b^n n!, each
+    times the weight k(n-k) b / (kb+2a+b); the weights are brought over
+    the lcm L of their denominators, so the sum is one integer over
+    L 2^n b^n n!.
+    """
     ell = Fraction(ell)
-    upper = gbinom_row(n + ell, n)
-    b2k = binom2k_row(ell, n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        weight = Fraction(k * (n - k)) / (k + 2 * ell + 1)
-        if weight == 0:
-            continue
-        total += Fraction(-1, 2) ** k * upper[n - k] * b2k[k] * weight
-    return total
+    a, b = ell.numerator, ell.denominator
+    upper = gbinom_numerators(n + ell, n)
+    b2k = binom2k_numerators(ell, n)
+    inner = range(1, n)  # k(n-k) vanishes at k = 0 and k = n
+    lcm = math.lcm(*(k * b + 2 * a + b for k in inner))
+    total = sum(
+        (-1) ** k * 2 ** (n - k) * math.comb(n, k) * upper[n - k] * b2k[k]
+        * k * (n - k) * b * (lcm // (k * b + 2 * a + b))
+        for k in inner
+    )
+    return Fraction(total, lcm * 2**n * b**n * math.factorial(n))
 
 
 def abel1_rhs(n: int, ell: Fraction | int) -> Fraction:

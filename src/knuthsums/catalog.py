@@ -17,10 +17,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import abel, legendre
-from .core import CertificateDenominatorZero, binom2k_row, format_rational, gbinom, gbinom_row
-from .core import harmonic, odd_harmonic
-
-HALF = Fraction(1, 2)
+from .core import CertificateDenominatorZero, binom2k_numerators, format_rational, gbinom
+from .core import gbinom_numerators, harmonic, odd_harmonic
 
 # Mixes integers, half-integers and generic rationals; identities skip the
 # grid points their validity predicate excludes.
@@ -122,10 +120,18 @@ def prop1_valid(n: int, ell: Fraction) -> bool:
 
 
 def prop1_lhs(n: int, ell: Fraction) -> Fraction:
-    """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k)."""
-    upper = gbinom_row(n + ell, n)
-    b2k = binom2k_row(ell, n)
-    return sum(((-HALF) ** k * upper[n - k] * b2k[k] for k in range(n + 1)), Fraction(0))
+    """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k).
+
+    With l = a/b, choose(n+l, n-k) = U_{n-k} / (b^(n-k) (n-k)!) and
+    choose(2k+2l, k) = M_k / (b^k k!), so every term is an integer over
+    2^n b^n n!:  (-1)^k 2^(n-k) C(n,k) U_{n-k} M_k.
+    """
+    upper = gbinom_numerators(n + ell, n)
+    b2k = binom2k_numerators(ell, n)
+    total = sum(
+        (-1) ** k * 2 ** (n - k) * math.comb(n, k) * upper[n - k] * b2k[k] for k in range(n + 1)
+    )
+    return Fraction(total, 2**n * ell.denominator**n * math.factorial(n))
 
 
 def prop1_rhs(n: int, ell: Fraction) -> Fraction:
@@ -149,16 +155,20 @@ def prop2_lhs(n: int, ell: Fraction) -> Fraction:
     """sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k).
 
     choose(k+l, k) = (-1)^k choose(-l-1, k), and that sign cancels the one
-    in (-1/2)^k.
+    in (-1/2)^k.  With l = a/b, choose(-l-1, k) = Q_k / (b^k k!) and
+    choose(2k+2l, k) = M_k / (b^k k!), so the k-th term is
+    C(n,k) M_k / (2^k Q_k); Q_k divides Q_n, and every term is an integer
+    over 2^n Q_n.
     """
-    b2k = binom2k_row(ell, n)
-    reflected = gbinom_row(-ell - 1, n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        if reflected[k] == 0:
-            raise ValueError(f"choose(k+l,k) vanishes at k={k} for l={ell}")
-        total += math.comb(n, k) * b2k[k] / (2**k * reflected[k])
-    return total
+    b2k = binom2k_numerators(ell, n)
+    reflected = gbinom_numerators(-ell - 1, n)
+    top = reflected[n]
+    if top == 0:
+        raise ValueError(f"choose(k+l,k) vanishes at k={reflected.index(0)} for l={ell}")
+    total = sum(
+        math.comb(n, k) * b2k[k] * 2 ** (n - k) * (top // reflected[k]) for k in range(n + 1)
+    )
+    return Fraction(total, 2**n * top)
 
 
 def prop2_rhs(n: int, ell: Fraction) -> Fraction:
@@ -222,14 +232,23 @@ def intermediate_rhs(n: int) -> Fraction:
 
 
 def gfpoly_lhs(n: int, x: Fraction) -> Fraction:
-    """sum_{k=0}^{2n} (-1/2)^k C(2n,k) 4^k x^k / (k+1)  (equals (-2x)^k terms)."""
-    total = Fraction(0)
-    power = Fraction(1)
-    for k in range(2 * n + 1):
-        if k:
-            power *= -2 * x
-        total += math.comb(2 * n, k) * power / (k + 1)
-    return total
+    """sum_{k=0}^{2n} (-1/2)^k C(2n,k) 4^k x^k / (k+1)  (equals (-2x)^k terms).
+
+    With x = p/q and L = lcm(1..2n+1), every term is an integer over
+    L q^(2n):  C(2n,k) (-2p)^k q^(2n-k) L/(k+1).
+    """
+    p, q = x.numerator, x.denominator
+    m = 2 * n
+    lcm = math.lcm(*range(1, m + 2))
+    q_powers = [1]
+    for _ in range(m):
+        q_powers.append(q_powers[-1] * q)
+    total = 0
+    power = 1
+    for k in range(m + 1):
+        total += math.comb(m, k) * power * q_powers[m - k] * (lcm // (k + 1))
+        power *= -2 * p
+    return Fraction(total, lcm * q_powers[m])
 
 
 def gfpoly_rhs(n: int, x: Fraction) -> Fraction:

@@ -1,18 +1,20 @@
 """Exact rational arithmetic and the combinatorial primitives used everywhere else.
 
-Every value in this package is an exact rational (`fractions.Fraction`);
-nothing is ever rounded.  This module supplies the building blocks:
-rising factorials (Pochhammer symbols), generalized binomial coefficients
-with a rational upper argument, the two binomial rows every shifted sum
-walks (choose(a, j) and choose(2k+2l, k)), and memoized harmonic /
-odd-harmonic numbers.
+Every value that crosses a module boundary is an exact rational
+(`fractions.Fraction`); nothing is ever rounded.  This module supplies the
+building blocks: rising factorials (Pochhammer symbols), generalized
+binomial coefficients with a rational upper argument, the integer
+numerators of the two binomial rows every shifted sum walks (choose(x, j)
+and choose(2k+2l, k), each over a known denominator), and memoized
+harmonic / odd-harmonic numbers.  The row kernels work in integers inside,
+so a shifted sum is accumulated as one integer numerator and turned into a
+single `Fraction` at the end.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import threading
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -87,73 +89,53 @@ def gbinom(a: Fraction | int, m: int) -> Fraction:
     return falling(a, m) / math.factorial(m)
 
 
-def gbinom_row(a: Fraction | int, m: int) -> list[Fraction]:
-    """choose(a, j) for j = 0..m, each entry from the previous one by the
-    ratio (a-j+1)/j."""
-    a = Fraction(a)
-    row = [Fraction(1)]
-    for j in range(1, m + 1):
-        row.append(row[-1] * (a - j + 1) / j)
-    return row
+def gbinom_numerators(x: Fraction | int, m: int) -> list[int]:
+    """Integer numerators of the row choose(x, j), j = 0..m.
 
-
-def binom2k_row(ell: Fraction | int, m: int) -> list[Fraction]:
-    """choose(2k+2l, k) for k = 0..m and a rational shift l, each entry from
-    the previous one by the ratio (2k+2l-1)(2k+2l) / ((k+2l) k), or
-    directly in the 0/0 steps that a negative half-integer l produces."""
-    two_ell = 2 * Fraction(ell)
-    row = [Fraction(1)]
-    for k in range(1, m + 1):
-        den = (k + two_ell) * k
-        if row[-1] == 0 or den == 0:
-            row.append(gbinom(2 * k + two_ell, k))
-        else:
-            row.append(row[-1] * (2 * k + two_ell - 1) * (2 * k + two_ell) / den)
-    return row
-
-
-class HarmonicCache:
-    """Memoized harmonic numbers H_n and odd harmonic numbers O_r.
-
-    H_n = 1 + 1/2 + ... + 1/n and O_r = 1 + 1/3 + ... + 1/(2r-1), with
-    H_0 = O_0 = 0.  Growth is amortized O(1) per new index and guarded by a
-    lock so concurrent readers always see fully built prefixes.
+    With x = p/q in lowest terms, choose(x, j) = U_j / (q^j j!) where
+    U_j = p (p-q) ... (p-(j-1)q): the prefix products of one factor per
+    step, so no division happens and no step can be 0/0.
     """
-
-    def __init__(self) -> None:
-        self._h = [Fraction(0)]
-        self._o = [Fraction(0)]
-        self._lock = threading.Lock()
-
-    def harmonic(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError(f"harmonic index must be nonnegative, got {n}")
-        if n >= len(self._h):
-            with self._lock:
-                h = self._h
-                while len(h) <= n:
-                    h.append(h[-1] + Fraction(1, len(h)))
-        return self._h[n]
-
-    def odd_harmonic(self, r: int) -> Fraction:
-        if r < 0:
-            raise ValueError(f"odd-harmonic index must be nonnegative, got {r}")
-        if r >= len(self._o):
-            with self._lock:
-                o = self._o
-                while len(o) <= r:
-                    o.append(o[-1] + Fraction(1, 2 * len(o) - 1))
-        return self._o[r]
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    row = [1]
+    for i in range(m):
+        row.append(row[-1] * (p - i * q))
+    return row
 
 
-_CACHE = HarmonicCache()
+def binom2k_numerators(ell: Fraction | int, m: int) -> list[int]:
+    """Integer numerators of choose(2k+2l, k), k = 0..m, for a rational shift l.
+
+    With l = a/b in lowest terms, choose(2k+2l, k) = M_k / (b^k k!) where
+    M_k = (2a+2kb) (2a+2kb-b) ... (2a+kb+b), one product per entry.
+    """
+    ell = Fraction(ell)
+    a, b = ell.numerator, ell.denominator
+    return [math.prod(range(2 * a + 2 * k * b, 2 * a + k * b, -b)) for k in range(m + 1)]
+
+
+# H_n = 1 + 1/2 + ... + 1/n and O_r = 1 + 1/3 + ... + 1/(2r-1), with
+# H_0 = O_0 = 0, grown on demand.
+_HARMONIC = [Fraction(0)]
+_ODD_HARMONIC = [Fraction(0)]
 
 
 def harmonic(n: int) -> Fraction:
     """n-th harmonic number H_n as an exact rational."""
-    return _CACHE.harmonic(n)
+    if n < 0:
+        raise ValueError(f"harmonic index must be nonnegative, got {n}")
+    h = _HARMONIC
+    while len(h) <= n:
+        h.append(h[-1] + Fraction(1, len(h)))
+    return h[n]
 
 
 def odd_harmonic(r: int) -> Fraction:
     """r-th odd harmonic number O_r = 1 + 1/3 + ... + 1/(2r-1)."""
-    return _CACHE.odd_harmonic(r)
+    if r < 0:
+        raise ValueError(f"odd-harmonic index must be nonnegative, got {r}")
+    o = _ODD_HARMONIC
+    while len(o) <= r:
+        o.append(o[-1] + Fraction(1, 2 * len(o) - 1))
+    return o[r]

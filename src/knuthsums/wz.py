@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .core import CertificateDenominatorZero, binom2k_row, gbinom_row
+from .core import CertificateDenominatorZero, binom2k_numerators, gbinom_numerators
 
 HALF = Fraction(1, 2)
 
@@ -58,23 +58,36 @@ class _Rows(NamedTuple):
     shifted: tuple[Fraction, ...]
 
 
+def _over(numerators: list[int], b: int) -> tuple[Fraction, ...]:
+    """The row entries numerators[j] / (b^j j!)."""
+    row = []
+    den = 1
+    for j, num in enumerate(numerators):
+        if j:
+            den *= b * j
+        row.append(Fraction(num, den))
+    return tuple(row)
+
+
 @lru_cache(maxsize=4)
 def _rows(n: int, ell: Fraction) -> _Rows:
     """The binomial rows every pair reads at one (n, l):
 
     upper[j] = choose(2n+l, j) and central[j] = C(2n, j) for j = 0..2n;
     b2k[k] = choose(2k+2l, k) and shifted[k] = choose(k+l, k) for
-    k = 0..2n+2, the last index a companion G(n, k) reaches.
+    k = 0..2n+2, the last index a companion G(n, k) reaches.  Each entry
+    is one `Fraction` built from the integer numerators of `core`.
 
     A residual check at n reads rows n and n+1 and the row sum row n, so
     a sweep along n keeps hitting a handful of entries.
     """
+    b = ell.denominator
     # choose(k+l, k) = (-1)^k choose(-l-1, k)
-    reflected = gbinom_row(-ell - 1, 2 * n + 2)
+    reflected = _over(gbinom_numerators(-ell - 1, 2 * n + 2), b)
     return _Rows(
-        tuple(gbinom_row(2 * n + ell, 2 * n)),
-        tuple(gbinom_row(2 * n, 2 * n)),
-        tuple(binom2k_row(ell, 2 * n + 2)),
+        _over(gbinom_numerators(2 * n + ell, 2 * n), b),
+        _over(gbinom_numerators(2 * n, 2 * n), 1),
+        _over(binom2k_numerators(ell, 2 * n + 2), b),
         tuple(-r if k % 2 else r for k, r in enumerate(reflected)),
     )
 

@@ -77,6 +77,22 @@ def test_abel1_validity():
     assert abel.abel1_valid(3, F(-7, 2)) and abel.abel1_valid(3, F(1, 3))
 
 
+def _abel1_valid_by_loop(n, ell):
+    """The predicate as a scan of every denominator k+2l+1, k = 0..n."""
+    if ell.denominator == 1 and -n <= ell < 0:
+        return False
+    return all(k + 2 * ell + 1 != 0 for k in range(n + 1))
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.builds(F, st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=4)),
+)
+def test_abel1_validity_matches_denominator_scan(n, ell):
+    assert abel.abel1_valid(n, ell) == _abel1_valid_by_loop(n, ell)
+
+
 def test_abel1_zero_shift_against_independent_brute_force():
     for n in range(81):
         direct = sum(

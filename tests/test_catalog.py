@@ -58,8 +58,8 @@ def test_prop1_values():
 
 
 def test_prop1_handles_negative_half_integer_shifts():
-    # not on the default grid, but valid: the guarded recurrence must not
-    # divide by zero when the shift is a negative half-integer
+    # not on the default grid, but valid: at a negative half-integer shift
+    # entries of choose(2k+2l, k) vanish partway along the row
     for ell in (F(-1, 2), F(-3, 2), F(-5, 2)):
         for n in range(12):
             direct = sum(
@@ -160,6 +160,27 @@ def test_gf_polynomial_values():
     for n in (0, 2, 5):
         assert catalog.gfpoly_lhs(n, F(0)) == catalog.gfpoly_rhs(n, F(0)) == 1
     assert catalog.gfpoly_lhs(2, F(1, 3)) == catalog.gfpoly_rhs(2, F(1, 3))
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.builds(F, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=15)),
+)
+def test_gf_polynomial_lhs_equals_per_term_fraction_sum(n, x):
+    # the one-integer-numerator LHS against one Fraction per term, at any
+    # rational x: negative, zero and non-unit denominators included
+    literal = sum(
+        (F(math.comb(2 * n, k), k + 1) * (-2 * x) ** k for k in range(2 * n + 1)), F(0)
+    )
+    assert catalog.gfpoly_lhs(n, x) == literal
+
+
+def test_prop2_lhs_raises_where_the_reflected_binomial_vanishes():
+    # validity excludes this case, so no verify() run reaches the raise
+    assert not REGISTRY["prop2-general-ell"].validity(n=3, ell=F(-2))
+    with pytest.raises(ValueError, match=r"^choose\(k\+l,k\) vanishes at k=2 for l=-2$"):
+        catalog.prop2_lhs(3, F(-2))
 
 
 def test_tauraso_values():

@@ -1,8 +1,7 @@
-"""Primitive arithmetic: Pochhammer, generalized binomials and their rows,
-harmonic caches."""
+"""Primitive arithmetic: Pochhammer, generalized binomials and the integer
+numerators of their rows, harmonic numbers."""
 
 import math
-import threading
 from fractions import Fraction as F
 
 import pytest
@@ -52,16 +51,25 @@ def test_gbinom_pascal_rule(a, m):
     assert core.gbinom(a, m) == core.gbinom(a - 1, m) + core.gbinom(a - 1, m - 1)
 
 
+def _over(numerators, b):
+    """numerators[j] / (b^j j!), the row a kernel's numerators stand for."""
+    return [F(u, b**j * math.factorial(j)) for j, u in enumerate(numerators)]
+
+
 def test_binom2k_row_values():
-    assert core.binom2k_row(F(1, 2), 1)[1] == core.gbinom(3, 1) == 3
-    assert core.binom2k_row(1, 2)[2] == math.comb(6, 2) == 15
+    # the integer numerators of choose(2k+2l, k) over b^k k!
+    assert _over(core.binom2k_numerators(F(1, 2), 1), 2)[1] == core.gbinom(3, 1) == 3
+    assert core.binom2k_numerators(F(1, 2), 1) == [1, 6]
+    assert core.binom2k_numerators(1, 2)[2] == math.comb(6, 2) * 2 == 30
     for ell in (F(0), F(1, 3), F(-7, 5)):
-        assert core.binom2k_row(ell, 0) == [1]
+        assert core.binom2k_numerators(ell, 0) == [1]
+    # l = -3/2: an entry vanishes and the next one is nonzero again
+    assert _over(core.binom2k_numerators(F(-3, 2), 4), 2) == [1, -1, 0, 1, 5]
 
 
 def test_binom2k_row_equals_pochhammer_form():
     for ell in (F(0), F(1, 2), F(-1, 3), F(7, 5)):
-        row = core.binom2k_row(ell, 11)
+        row = _over(core.binom2k_numerators(ell, 11), ell.denominator)
         for k in range(12):
             expected = core.pochhammer(k + 2 * ell + 1, k) / math.factorial(k)
             assert row[k] == expected
@@ -69,17 +77,25 @@ def test_binom2k_row_equals_pochhammer_form():
 
 @given(rationals, st.integers(min_value=0, max_value=30))
 def test_gbinom_row_matches_gbinom(a, m):
-    assert core.gbinom_row(a, m) == [core.gbinom(a, j) for j in range(m + 1)]
+    nums = core.gbinom_numerators(a, m)
+    assert all(isinstance(u, int) for u in nums)
+    assert _over(nums, a.denominator) == [core.gbinom(a, j) for j in range(m + 1)]
 
 
 half_integers = st.builds(lambda p: F(2 * p + 1, 2), st.integers(min_value=-30, max_value=30))
+negative_integers = st.builds(F, st.integers(min_value=-30, max_value=-1))
 
 
-@given(st.one_of(rationals, half_integers), st.integers(min_value=0, max_value=30))
+@given(
+    st.one_of(rationals, half_integers, negative_integers), st.integers(min_value=0, max_value=30)
+)
 def test_binom2k_row_matches_gbinom(ell, m):
-    # at negative half-integers l the one-step ratio hits 0/0 steps and
-    # the row falls back to the direct product
-    assert core.binom2k_row(ell, m) == [core.gbinom(2 * k + 2 * ell, k) for k in range(m + 1)]
+    # negative half-integers and negative integers l make entries vanish
+    # and reappear along the row
+    nums = core.binom2k_numerators(ell, m)
+    assert all(isinstance(u, int) for u in nums)
+    expected = [core.gbinom(2 * k + 2 * ell, k) for k in range(m + 1)]
+    assert _over(nums, ell.denominator) == expected
 
 
 def test_harmonic_values():
@@ -96,24 +112,11 @@ def test_odd_harmonic_halving_identity():
         assert core.odd_harmonic(k) == core.harmonic(2 * k) - core.harmonic(k) / 2
 
 
-def test_harmonic_cache_concurrent_growth():
-    cache = core.HarmonicCache()
-    results = {}
-
-    def worker(tag, n):
-        results[tag] = (cache.harmonic(n), cache.odd_harmonic(n))
-
-    threads = [
-        threading.Thread(target=worker, args=(i, 400 + (i % 7))) for i in range(16)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for tag, (h, o) in results.items():
-        n = 400 + (tag % 7)
-        assert h == core.harmonic(n)
-        assert o == core.odd_harmonic(n)
+def test_harmonic_rejects_negative_index():
+    with pytest.raises(ValueError):
+        core.harmonic(-1)
+    with pytest.raises(ValueError):
+        core.odd_harmonic(-1)
 
 
 def test_parse_rational():
