@@ -40,16 +40,15 @@ DEFAULT_ELL_GRID: tuple[Fraction, ...] = (
 class Identity:
     """A named pair of evaluators over a parameter space.
 
-    space is one of "int" (a single integer parameter swept 0..n_max),
-    "int-ell" (integer crossed with the rational shift grid), or
-    "int-points" (integer plus a per-n set of 2n+1 rational sample points,
-    enough to pin down a degree-2n polynomial identity).
+    The space follows from param_names: one integer parameter is swept
+    0..n_max; a second parameter "ell" crosses it with the rational shift
+    grid, and a second parameter "x" with a per-n set of 2n+1 rational
+    sample points, enough to pin down a degree-2n polynomial identity.
     """
 
     name: str
     summary: str
     param_names: tuple[str, ...]
-    space: str
     lhs: Callable[..., Fraction]
     rhs: Callable[..., Fraction]
     validity: Callable[..., bool] = field(default=lambda **params: True)
@@ -141,14 +140,10 @@ def prop1_rhs(n: int, ell: Fraction) -> Fraction:
     return gbinom(n + ell, n // 2) / 2**n
 
 
-def prop2_valid(n: int, ell: Fraction) -> bool:
-    """choose(k+l, k) must stay nonzero for k <= n, and for even n the
-    closed form's choose(n/2+l, n/2) must not vanish."""
-    if ell.denominator == 1 and -n <= ell <= -1:
-        return False
-    if n % 2 == 0 and gbinom(n // 2 + ell, n // 2) == 0:
-        return False
-    return True
+# choose(k+l, k) for k <= n, and at even n the closed form's
+# choose(n/2+l, n/2), vanish exactly at the integer shifts -n <= l <= -1
+# that prop1 excludes.
+prop2_valid = prop1_valid
 
 
 def prop2_lhs(n: int, ell: Fraction) -> Fraction:
@@ -290,7 +285,6 @@ REGISTRY: dict[str, Identity] = {
             "knuth-old-sum",
             "sum (-1/2)^k C(n,k) C(2k,k) = [n even] 2^-n C(n,n/2)",
             ("n",),
-            "int",
             knuth_lhs,
             knuth_rhs,
         ),
@@ -298,7 +292,6 @@ REGISTRY: dict[str, Identity] = {
             "prop1-general-ell",
             "sum (-1/2)^k C(n+l,k+l) C(2k+2l,k) = [n even] 2^-n C(n+l,n/2)",
             ("n", "ell"),
-            "int-ell",
             prop1_lhs,
             prop1_rhs,
             prop1_valid,
@@ -307,7 +300,6 @@ REGISTRY: dict[str, Identity] = {
             "prop2-general-ell",
             "sum (-1/2)^k C(n,k) C(2k+2l,k)/C(k+l,k) = [n even] 2^-n C(n,n/2)/C(n/2+l,n/2)",
             ("n", "ell"),
-            "int-ell",
             prop2_lhs,
             prop2_rhs,
             prop2_valid,
@@ -316,7 +308,6 @@ REGISTRY: dict[str, Identity] = {
             "example-3hk-2h2k",
             "sum_{k<=2n} (-1/2)^k C(2k,k) C(2n,k) (3H_k - 2H_2k) = 4^-n C(2n,n) H_n",
             ("n",),
-            "int",
             hkmix_lhs,
             hkmix_rhs,
         ),
@@ -324,7 +315,6 @@ REGISTRY: dict[str, Identity] = {
             "corollary-odd-harmonic",
             "sum (-2)^k C(m,k) H_k/(k+1) = [m odd] -(2/(m+1)) O_((m+1)/2)",
             ("m",),
-            "int",
             oddh_corollary_lhs,
             oddh_corollary_rhs,
         ),
@@ -332,7 +322,6 @@ REGISTRY: dict[str, Identity] = {
             "corollary-intermediate",
             "sum_{k<=2n} (-2)^k C(2n+1,k) H_k/(k+1) = (4^n-1)H_2n/(n+1) + H_n/(2n+2) + (4^n-1)/((n+1)(2n+1))",
             ("n",),
-            "int",
             intermediate_lhs,
             intermediate_rhs,
         ),
@@ -340,7 +329,6 @@ REGISTRY: dict[str, Identity] = {
             "gf-polynomial",
             "sum_{k<=2n} C(2n,k) (-2x)^k/(k+1) = (1-(1-2x)^(2n+1))/(2(2n+1)x)",
             ("n", "x"),
-            "int-points",
             gfpoly_lhs,
             gfpoly_rhs,
         ),
@@ -348,7 +336,6 @@ REGISTRY: dict[str, Identity] = {
             "tauraso-h2n",
             "sum_{k<=2n} (-1)^k C(2n,k) C(2n+k,k) C(2k,k) 4^(2n-k) H_k = C(2n,n)^2 H_2n",
             ("n",),
-            "int",
             tauraso_lhs,
             tauraso_rhs,
         ),
@@ -356,7 +343,6 @@ REGISTRY: dict[str, Identity] = {
             "odd-knuth-sum",
             "sum (-1/4)^k C(n,k) C(2k,k) O_k = -(1/4)^n C(2n,n) O_n",
             ("n",),
-            "int",
             legendre.odd_knuth_lhs,
             legendre.odd_knuth_rhs,
         ),
@@ -364,7 +350,6 @@ REGISTRY: dict[str, Identity] = {
             "legendre-log-moment",
             "int_0^1 ln(x)/sqrt(x) P_n(2x-1) dx = 4(-1)^n (H_n - 2 H_2n - 1/(2n+1))/(2n+1)",
             ("n",),
-            "int",
             legendre.log_moment_sqrt_lhs,
             legendre.log_moment_sqrt_rhs,
         ),
@@ -372,7 +357,6 @@ REGISTRY: dict[str, Identity] = {
             "abel-first",
             "sum (-1/2)^k C(n+l,k+l) C(2k+2l,k) k(n-k)/(k+2l+1) = [n even] -2^-n n C(n+l,n/2)",
             ("n", "ell"),
-            "int-ell",
             abel.abel1_lhs,
             abel.abel1_rhs,
             abel.abel1_valid,
@@ -381,7 +365,6 @@ REGISTRY: dict[str, Identity] = {
             "abel-second",
             "sum (-1/2)^k C(2k,k) C(n,k) (2k+1)(k^2+3k+3)(n-k)/((k+1)^2(k+2)(k+3)) = 1/2 - [n even] C(n,n/2)(n+1)/(2^n(n+2))",
             ("n",),
-            "int",
             abel.abel2_lhs,
             abel.abel2_rhs,
         ),
@@ -394,20 +377,18 @@ def iter_cases(
 ) -> Iterator[dict]:
     """All parameter assignments for a sweep up to n_max (validity-excluded
     points are still yielded; verify() reports them as skipped)."""
-    first = ident.param_names[0]
-    if ident.space == "int":
-        for n in range(n_max + 1):
-            yield {first: n}
-    elif ident.space == "int-ell":
-        for n in range(n_max + 1):
+    first, *rest = ident.param_names
+    if rest not in ([], ["ell"], ["x"]):
+        raise ValueError(f"no parameter space for parameters {ident.param_names}")
+    for n in range(n_max + 1):
+        if rest == ["ell"]:
             for ell in ell_grid:
                 yield {first: n, "ell": ell}
-    elif ident.space == "int-points":
-        for n in range(n_max + 1):
+        elif rest == ["x"]:
             for j in range(1, 2 * n + 2):
                 yield {first: n, "x": Fraction(j, 2 * n + 1)}
-    else:
-        raise ValueError(f"unknown parameter space {ident.space!r}")
+        else:
+            yield {first: n}
 
 
 def verify(ident: Identity, params: dict) -> VerificationReport:

@@ -148,7 +148,6 @@ def _wz_checks(pair: wz.WZPair) -> tuple[Identity, Identity]:
             f"wz-{pair.name}-residual",
             "F(n+1,k) - F(n,k) = G(n,k+1) - G(n,k) for k = -1..2n+3",
             ("n", "ell"),
-            "int-ell",
             lambda n, ell: wz.residual_grid(pair, n, ell),
             lambda n, ell: Fraction(0),
         ),
@@ -156,7 +155,6 @@ def _wz_checks(pair: wz.WZPair) -> tuple[Identity, Identity]:
             f"wz-{pair.name}-row-sum",
             "sum_k F(n,k) = 1",
             ("n", "ell"),
-            "int-ell",
             lambda n, ell: wz.row_sum(pair, n, ell),
             lambda n, ell: Fraction(1),
         ),

@@ -18,8 +18,10 @@ the factor 1/Gamma(2n-k+1) inside F cancels through
 
 Every pair is built by `_pair` from one spec (the binomial row its
 summand reads, its normalisation, its certificate numerator), which
-derives F, R and a companion G with that cancellation performed, so the
-pair equation can be verified at every grid point, boundary included.
+derives F and R.  Its companion G is R * F, by `naive_companion`,
+wherever R is finite, and is hand-derived only at the two boundary
+points k = 2n+1, 2n+2, where it is that cancelled limit; so the pair
+equation can be verified at every grid point, boundary included.
 Evaluating a bare certificate where its denominator vanishes (and
 nothing cancels) raises CertificateDenominatorZero, which callers report
 separately from a nonzero residual.
@@ -35,13 +37,11 @@ from typing import Callable, NamedTuple
 
 from .core import CertificateDenominatorZero, binom2k_numerators, gbinom_numerators
 
-HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class WZPair:
     """Summand F (supported on k = 0..2n), certificate R, companion
-    G = R*F (cancellations done), and the parameter domain where
+    G = R*F (its boundary limits taken), and the parameter domain where
     everything is defined."""
 
     name: str
@@ -92,26 +92,22 @@ def _rows(n: int, ell: Fraction) -> _Rows:
     )
 
 
-def _trunc_ratio(upper: tuple[Fraction, ...], shift: Fraction, k: int) -> Fraction:
-    """Gamma(n2+shift+1) / (Gamma(k+shift+1) Gamma(n2-k+3)) for integer k,
-    given upper[m] = choose(n2+shift, m) for m = 0..n2.
+def naive_companion(
+    F: Callable[[int, int, Fraction], Fraction],
+    R: Callable[[int, int, Fraction], Fraction],
+) -> Callable[[int, int, Fraction], Fraction]:
+    """G = R * F taken literally: zero wherever F is zero, and
+    CertificateDenominatorZero when F is nonzero where R blows up.  Every
+    registered pair's companion is this rule away from the two boundary
+    points where R's pole cancels against F's zero."""
 
-    This is the certificate denominator absorbed into the binomial part of
-    F; it vanishes for k >= n2+3.  At k = n2+1, n2+2 it is the reciprocal
-    of (n2+shift+1) or (n2+shift+1)(n2+shift+2): a pole where a factor
-    vanishes, which raises CertificateDenominatorZero.
-    """
-    n2 = len(upper) - 1
-    if k >= n2 + 3:
-        return Fraction(0)
-    if k <= n2:
-        m = n2 - k
-        return upper[m] / ((m + 1) * (m + 2))
-    factors = [top + shift for top in range(n2 + 1, k + 1)]
-    if 0 in factors:
-        top = n2 + 1 + factors.index(0)
-        raise CertificateDenominatorZero(f"Gamma ratio factor {top}+l vanishes at k={k}, l={shift}")
-    return 1 / math.prod(factors)
+    def g(n: int, k: int, ell: Fraction) -> Fraction:
+        fv = F(n, k, ell)
+        if fv == 0:
+            return Fraction(0)
+        return R(n, k, ell) * fv
+
+    return g
 
 
 def _pair(
@@ -126,11 +122,18 @@ def _pair(
 
         F(n,k) = (-1/2)^k choose(2k+2l, k) 4^n row[2n-k] * normalisation
         R(n,k) = -k(k+offset+2l) / ((k-2n-1)(k-2n-2))
-        G(n,k) = -k(k+offset+2l) (-1/2)^k choose(2k+2l, k) 4^n
-                 * _trunc_ratio(row, shift, k) * normalisation
 
+    G is `naive_companion(F, R)`, that is R * F, at every k except
+    k = 2n+1, 2n+2.  There R has its pole and F its zero, and G is the
+    limit, with row[2n-k] = Gamma(2n+shift+1) / (Gamma(k+shift+1)
+    Gamma(2n-k+1)) continued past the support:
+
+        G(n,k) = -k(k+offset+2l) (-1/2)^k choose(2k+2l, k) 4^n
+                 * normalisation / prod_{t=2n+1}^{k} (t+shift)
+
+    A vanishing factor of that product raises CertificateDenominatorZero.
     F lives on k = 0..2n and G on k = 1..2n+2; `normalise(value, rows,
-    n, k)` is applied last, to both.
+    n, k)` is applied last.
     """
 
     def F(n: int, k: int, ell: Fraction) -> Fraction:
@@ -138,7 +141,8 @@ def _pair(
             return Fraction(0)
         rows = _rows(n, ell)
         binoms, _ = row(rows, ell)
-        value = (-HALF) ** k * binoms[2 * n - k] * rows.b2k[k] * 4**n
+        # (-1/2)^k 4^n = (-1)^k 2^(2n-k), an integer on the support
+        value = (-1) ** k * 2 ** (2 * n - k) * binoms[2 * n - k] * rows.b2k[k]
         return normalise(value, rows, n, k) if normalise else value
 
     def R(n: int, k: int, ell: Fraction) -> Fraction:
@@ -147,13 +151,19 @@ def _pair(
             raise CertificateDenominatorZero(f"certificate denominator vanishes at n={n}, k={k}")
         return Fraction(-k) * ((k + offset) + 2 * ell) / den
 
+    companion = naive_companion(F, R)
+
     def G(n: int, k: int, ell: Fraction) -> Fraction:
-        if k <= 0 or k >= 2 * n + 3:
-            return Fraction(0)
+        if k not in (2 * n + 1, 2 * n + 2):
+            return companion(n, k, ell)
         rows = _rows(n, ell)
-        binoms, shift = row(rows, ell)
-        head = Fraction(-k) * ((k + offset) + 2 * ell) * (-HALF) ** k * rows.b2k[k] * 4**n
-        value = head * _trunc_ratio(binoms, shift, k)
+        _, shift = row(rows, ell)
+        factors = [top + shift for top in range(2 * n + 1, k + 1)]
+        if 0 in factors:
+            top = 2 * n + 1 + factors.index(0)
+            raise CertificateDenominatorZero(f"Gamma ratio factor {top}+l vanishes at k={k}, l={shift}")
+        head = Fraction(-k) * ((k + offset) + 2 * ell) * (-1) ** k * rows.b2k[k]
+        value = head / (2 ** (k - 2 * n) * math.prod(factors))
         return normalise(value, rows, n, k) if normalise else value
 
     return WZPair(name, F, R, G, defined)
@@ -204,23 +214,6 @@ def negative_control() -> WZPair:
 def certificates() -> dict[str, WZPair]:
     pairs = [register_prop1_certificate(), register_prop2_certificate(), negative_control()]
     return {p.name: p for p in pairs}
-
-
-def naive_companion(
-    F: Callable[[int, int, Fraction], Fraction],
-    R: Callable[[int, int, Fraction], Fraction],
-) -> Callable[[int, int, Fraction], Fraction]:
-    """G = R * F taken literally: zero wherever F is zero, and
-    CertificateDenominatorZero when F is nonzero where R blows up.  Useful
-    for ad-hoc pairs whose certificate has no boundary cancellation."""
-
-    def g(n: int, k: int, ell: Fraction) -> Fraction:
-        fv = F(n, k, ell)
-        if fv == 0:
-            return Fraction(0)
-        return R(n, k, ell) * fv
-
-    return g
 
 
 def wz_residual(pair: WZPair, n: int, k: int, ell: Fraction | int) -> Fraction:

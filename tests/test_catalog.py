@@ -183,6 +183,29 @@ def test_prop2_lhs_raises_where_the_reflected_binomial_vanishes():
         catalog.prop2_lhs(3, F(-2))
 
 
+def test_prop2_skips_are_sound():
+    # every admitted shift evaluates both sides (and they agree); every
+    # rejected one is a negative integer -n <= l <= -1, where the literal
+    # sum itself divides by a vanishing choose(k+l, k)
+    ident = REGISTRY["prop2-general-ell"]
+    shifts = (
+        [F(-j) for j in range(1, 41)]
+        + [F(-(2 * j + 1), 2) for j in range(40)]
+        + [F(1, 3), F(-1, 3), F(-7, 3), F(2, 5), F(-13, 5), F(22, 7), F(-31, 4)]
+    )
+    rejected = 0
+    for n in range(31):
+        for ell in shifts:
+            if ident.validity(n=n, ell=ell):
+                assert ident.lhs(n=n, ell=ell) == ident.rhs(n=n, ell=ell), (n, ell)
+            else:
+                assert ell.denominator == 1 and -n <= ell <= -1, (n, ell)
+                with pytest.raises(ValueError):
+                    ident.lhs(n=n, ell=ell)
+                rejected += 1
+    assert rejected == sum(range(31))
+
+
 def test_tauraso_values():
     assert catalog.tauraso_lhs(0) == catalog.tauraso_rhs(0) == 0
     assert catalog.tauraso_lhs(1) == catalog.tauraso_rhs(1) == 6
@@ -229,7 +252,7 @@ def test_verify_captures_evaluator_errors_as_failures():
     def boom(n):
         raise ArithmeticError("synthetic failure")
 
-    broken = Identity("broken", "always raises", ("n",), "int", boom, catalog.knuth_rhs)
+    broken = Identity("broken", "always raises", ("n",), boom, catalog.knuth_rhs)
     rep = verify(broken, {"n": 1})
     assert rep.status == "fail"
     assert "synthetic failure" in rep.reason
@@ -239,7 +262,7 @@ def test_verify_skips_vanishing_certificate_denominators():
     def pole(n):
         raise CertificateDenominatorZero("certificate denominator vanishes at n=1")
 
-    cert = Identity("cert", "pole at n=1", ("n",), "int", pole, catalog.knuth_rhs)
+    cert = Identity("cert", "pole at n=1", ("n",), pole, catalog.knuth_rhs)
     rep = verify(cert, {"n": 1})
     assert rep.status == "skip" and rep.lhs is None
     assert rep.reason == "certificate denominator zero: certificate denominator vanishes at n=1"
@@ -247,7 +270,7 @@ def test_verify_skips_vanishing_certificate_denominators():
 
 def test_verify_flags_inequality():
     skewed = Identity(
-        "skewed", "off by one", ("n",), "int",
+        "skewed", "off by one", ("n",),
         catalog.knuth_lhs, lambda n: catalog.knuth_rhs(n) + 1,
     )
     rep = verify(skewed, {"n": 2})
@@ -265,6 +288,10 @@ def test_iter_cases_shapes():
     assert len(cases) == sum(2 * n + 1 for n in range(5))
     xs = [c["x"] for c in cases if c["n"] == 4]
     assert len(set(xs)) == 9  # distinct points pin down the degree-8 polynomial
+    for params in (("n", "y"), ("n", "ell", "x")):
+        odd = Identity("odd", "unknown space", params, catalog.knuth_lhs, catalog.knuth_rhs)
+        with pytest.raises(ValueError):
+            next(iter_cases(odd, 2))
 
 
 def test_run_sweep_sorting_and_parallel_agreement():

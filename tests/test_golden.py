@@ -1,0 +1,76 @@
+"""Golden output: three canonical runs must keep printing the same records.
+
+Each run goes through `cli.main` in-process.  The `micros` field of every
+record (wall-clock timing) is dropped before hashing, so what is pinned is
+exactly the "same results" of the design rule: every record's identity,
+parameters, both sides, status and reason, in order, plus the exit code.
+
+When a change moves one of these hashes, find the first differing record
+by running the same command on the parent commit and on the change, e.g.
+
+    PYTHONPATH=src python -m knuthsums wz --n-max 20 --format json > after.jsonl
+
+and diffing the two outputs with `micros` removed.  Update a constant only
+when the change to the output is intended and argued.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from knuthsums import cli
+
+IDENTITIES = ",".join((
+    "abel-first",
+    "abel-second",
+    "corollary-intermediate",
+    "corollary-odd-harmonic",
+    "example-3hk-2h2k",
+    "gf-polynomial",
+    "knuth-old-sum",
+    "legendre-log-moment",
+    "odd-knuth-sum",
+    "prop1-general-ell",
+    "prop2-general-ell",
+    "tauraso-h2n",
+))
+
+GOLDEN = [
+    (
+        ("verify", "--identity", IDENTITIES, "--n-max", "40", "--format", "json"),
+        0,
+        "c17630bc46d0077c85abcc26bb02126acd64838db61236598c3c90dfa4027340",
+    ),
+    (
+        ("wz", "--n-max", "20", "--format", "json"),
+        1,
+        "207ef59ba7a15f3d29b4e70da6bf5158b44d225c86e633506ca3e1a0cc799f4e",
+    ),
+    (
+        ("wz", "--n-max", "6", "--ell=-1,-2,-3,-4,-5,1/2,0,-1/2,-3/2", "--format", "json"),
+        1,
+        "269bdbf7e141dd2ae6614ed5ff28b850158751f87594d81499aef1dbb7bfc725",
+    ),
+]
+
+
+def output_digest(out: str) -> str:
+    records = []
+    for line in out.splitlines():
+        rec = json.loads(line)
+        rec.pop("micros")
+        records.append(json.dumps(rec))
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=("verify-n40", "wz-n20", "wz-n6-poles"))
+def test_output_matches_golden(capsys, argv, code, digest):
+    got_code = cli.main(list(argv))
+    got = output_digest(capsys.readouterr().out)
+    command = "PYTHONPATH=src python -m knuthsums " + " ".join(argv)
+    assert (got_code, got) == (code, digest), (
+        f"output of `{command}` changed; run it on the parent commit and on "
+        f"this change and diff the two (micros dropped) to find the first "
+        f"differing record"
+    )
