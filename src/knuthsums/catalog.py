@@ -140,9 +140,10 @@ def prop1_rhs(n: int, ell: Fraction) -> Fraction:
     return gbinom(n + ell, n // 2) / 2**n
 
 
-# choose(k+l, k) for k <= n, and at even n the closed form's
-# choose(n/2+l, n/2), vanish exactly at the integer shifts -n <= l <= -1
-# that prop1 excludes.
+# choose(k+l, k) for k <= n vanishes exactly at the integer shifts
+# -n <= l <= -1 that prop1 excludes; at even n the closed form's
+# choose(n/2+l, n/2) vanishes only on the subset -n/2 <= l <= -1, so it
+# never decides.
 prop2_valid = prop1_valid
 
 

@@ -37,6 +37,8 @@ from typing import Callable, NamedTuple
 
 from .core import CertificateDenominatorZero, binom2k_numerators, gbinom_numerators
 
+HALF = Fraction(1, 2)
+
 
 @dataclass(frozen=True)
 class WZPair:
@@ -136,20 +138,25 @@ def _pair(
     n, k)` is applied last.
     """
 
+    def numerator(k: int, ell: Fraction) -> Fraction:
+        return Fraction(-k) * ((k + offset) + 2 * ell)
+
+    def head(n: int, k: int, rows: _Rows) -> Fraction:
+        return (-HALF) ** k * rows.b2k[k] * 4**n
+
     def F(n: int, k: int, ell: Fraction) -> Fraction:
         if k < 0 or k > 2 * n:
             return Fraction(0)
         rows = _rows(n, ell)
         binoms, _ = row(rows, ell)
-        # (-1/2)^k 4^n = (-1)^k 2^(2n-k), an integer on the support
-        value = (-1) ** k * 2 ** (2 * n - k) * binoms[2 * n - k] * rows.b2k[k]
+        value = head(n, k, rows) * binoms[2 * n - k]
         return normalise(value, rows, n, k) if normalise else value
 
     def R(n: int, k: int, ell: Fraction) -> Fraction:
         den = (k - 2 * n - 1) * (k - 2 * n - 2)
         if den == 0:
             raise CertificateDenominatorZero(f"certificate denominator vanishes at n={n}, k={k}")
-        return Fraction(-k) * ((k + offset) + 2 * ell) / den
+        return numerator(k, ell) / den
 
     companion = naive_companion(F, R)
 
@@ -162,8 +169,7 @@ def _pair(
         if 0 in factors:
             top = 2 * n + 1 + factors.index(0)
             raise CertificateDenominatorZero(f"Gamma ratio factor {top}+l vanishes at k={k}, l={shift}")
-        head = Fraction(-k) * ((k + offset) + 2 * ell) * (-1) ** k * rows.b2k[k]
-        value = head / (2 ** (k - 2 * n) * math.prod(factors))
+        value = numerator(k, ell) * head(n, k, rows) / math.prod(factors)
         return normalise(value, rows, n, k) if normalise else value
 
     return WZPair(name, F, R, G, defined)

@@ -1,12 +1,14 @@
 """WZ certificate checks: pair equation on the widened grid, telescoped row
 sums, boundary conventions, and the negative controls."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from knuthsums import wz
 from knuthsums.catalog import DEFAULT_ELL_GRID
+from knuthsums.core import gbinom
 
 PAIRS = wz.certificates()
 
@@ -16,20 +18,39 @@ def test_registered_names():
 
 
 def test_companion_is_certificate_times_summand():
-    # on the support k = 0..2n, where R has no pole, the companion each
-    # pair derives must be R * F exactly
+    # on the support G is R * F by construction; at k = 2n+1, 2n+2 it is the
+    # limit of R * F, where (k-2n-1)(k-2n-2) Gamma(2n-k+1) = Gamma(2n-k+3)
+    # = 1 leaves the Gamma ratio Gamma(2n+s+1) / Gamma(k+s+1) of F's row,
+    # here taken from gbinom instead of G's product of factors
+    specs = {  # name: (row shift s, numerator offset, normalisation)
+        "prop1": (lambda ell: ell, 0, lambda n, k, ell: 1 / gbinom(2 * n + ell, n)),
+        "prop2": (
+            lambda ell: F(0),
+            0,
+            lambda n, k, ell: gbinom(n + ell, n) / (gbinom(k + ell, k) * math.comb(2 * n, n)),
+        ),
+        "negative-control": (lambda ell: ell, 1, lambda n, k, ell: F(1)),
+    }
     points = 0
-    for pair in PAIRS.values():
+    for name, (shift, offset, norm) in specs.items():
+        pair = PAIRS[name]
         for ell in (F(0), F(1, 2), F(-1, 3), F(7, 5), F(-5, 2)):
+            s = shift(ell)
             for n in range(6):
                 if not pair.defined(n, ell):
                     continue
-                for k in range(2 * n + 1):
-                    assert pair.G(n, k, ell) == pair.R(n, k, ell) * pair.F(n, k, ell), (
-                        pair.name, n, k, ell,
+                for k in (2 * n + 1, 2 * n + 2):
+                    gamma_ratio = (
+                        gbinom(2 * n + s, 2 * n) * math.factorial(2 * n)
+                        / (gbinom(k + s, k) * math.factorial(k))
                     )
+                    limit = (
+                        -k * (k + offset + 2 * ell) * F(-1, 2) ** k * gbinom(2 * k + 2 * ell, k)
+                        * 4**n * gamma_ratio * norm(n, k, ell)
+                    )
+                    assert pair.G(n, k, ell) == limit, (name, n, k, ell)
                     points += 1
-    assert points == 540
+    assert points == 180
 
 
 def test_companion_vanishes_at_k_zero():
