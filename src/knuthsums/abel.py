@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import binom2k_numerators, gbinom, gbinom_numerators, pochhammer
+from .core import gbinom, pochhammer, prop1_terms
 
 
 @dataclass(frozen=True)
@@ -82,23 +82,18 @@ def abel1_valid(n: int, ell: Fraction | int) -> bool:
 def abel1_lhs(n: int, ell: Fraction | int) -> Fraction:
     """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k) k(n-k)/(k+2l+1).
 
-    With l = a/b these are prop1's integer terms over 2^n b^n n!, each
+    With l = a/b these are prop1's integer terms (`core.prop1_terms`), each
     times the weight k(n-k) b / (kb+2a+b); the weights are brought over
-    the lcm L of their denominators, so the sum is one integer over
-    L 2^n b^n n!.
+    the lcm L of their denominators, so the sum is one integer over L
+    times prop1's denominator.
     """
     ell = Fraction(ell)
     a, b = ell.numerator, ell.denominator
-    upper = gbinom_numerators(n + ell, n)
-    b2k = binom2k_numerators(ell, n)
+    terms, den = prop1_terms(n, ell)
     inner = range(1, n)  # k(n-k) vanishes at k = 0 and k = n
     lcm = math.lcm(*(k * b + 2 * a + b for k in inner))
-    total = sum(
-        (-1) ** k * 2 ** (n - k) * math.comb(n, k) * upper[n - k] * b2k[k]
-        * k * (n - k) * b * (lcm // (k * b + 2 * a + b))
-        for k in inner
-    )
-    return Fraction(total, lcm * 2**n * b**n * math.factorial(n))
+    total = sum(terms[k] * k * (n - k) * b * (lcm // (k * b + 2 * a + b)) for k in inner)
+    return Fraction(total, lcm * den)
 
 
 def abel1_rhs(n: int, ell: Fraction | int) -> Fraction:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import abel, legendre
-from .core import CertificateDenominatorZero, binom2k_numerators, format_rational, gbinom
-from .core import gbinom_numerators, harmonic, odd_harmonic
+from .core import CertificateDenominatorZero, format_rational, gbinom, harmonic, odd_harmonic
+from .core import prop1_terms, prop2_terms
 
 # Mixes integers, half-integers and generic rationals; identities skip the
 # grid points their validity predicate excludes.
@@ -119,18 +119,10 @@ def prop1_valid(n: int, ell: Fraction) -> bool:
 
 
 def prop1_lhs(n: int, ell: Fraction) -> Fraction:
-    """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k).
-
-    With l = a/b, choose(n+l, n-k) = U_{n-k} / (b^(n-k) (n-k)!) and
-    choose(2k+2l, k) = M_k / (b^k k!), so every term is an integer over
-    2^n b^n n!:  (-1)^k 2^(n-k) C(n,k) U_{n-k} M_k.
-    """
-    upper = gbinom_numerators(n + ell, n)
-    b2k = binom2k_numerators(ell, n)
-    total = sum(
-        (-1) ** k * 2 ** (n - k) * math.comb(n, k) * upper[n - k] * b2k[k] for k in range(n + 1)
-    )
-    return Fraction(total, 2**n * ell.denominator**n * math.factorial(n))
+    """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k), one integer
+    over one denominator (`core.prop1_terms`)."""
+    terms, den = prop1_terms(n, ell)
+    return Fraction(sum(terms), den)
 
 
 def prop1_rhs(n: int, ell: Fraction) -> Fraction:
@@ -148,23 +140,10 @@ prop2_valid = prop1_valid
 
 
 def prop2_lhs(n: int, ell: Fraction) -> Fraction:
-    """sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k).
-
-    choose(k+l, k) = (-1)^k choose(-l-1, k), and that sign cancels the one
-    in (-1/2)^k.  With l = a/b, choose(-l-1, k) = Q_k / (b^k k!) and
-    choose(2k+2l, k) = M_k / (b^k k!), so the k-th term is
-    C(n,k) M_k / (2^k Q_k); Q_k divides Q_n, and every term is an integer
-    over 2^n Q_n.
-    """
-    b2k = binom2k_numerators(ell, n)
-    reflected = gbinom_numerators(-ell - 1, n)
-    top = reflected[n]
-    if top == 0:
-        raise ValueError(f"choose(k+l,k) vanishes at k={reflected.index(0)} for l={ell}")
-    total = sum(
-        math.comb(n, k) * b2k[k] * 2 ** (n - k) * (top // reflected[k]) for k in range(n + 1)
-    )
-    return Fraction(total, 2**n * top)
+    """sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k), one
+    integer over one denominator (`core.prop2_terms`)."""
+    terms, den = prop2_terms(n, ell)
+    return Fraction(sum(terms), den)
 
 
 def prop2_rhs(n: int, ell: Fraction) -> Fraction:

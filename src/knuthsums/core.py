@@ -5,9 +5,10 @@ Every value that crosses a module boundary is an exact rational
 building blocks: rising factorials (Pochhammer symbols), generalized
 binomial coefficients with a rational upper argument, the integer
 numerators of the two binomial rows every shifted sum walks (choose(x, j)
-and choose(2k+2l, k), each over a known denominator), and memoized
-harmonic / odd-harmonic numbers.  The row kernels work in integers inside,
-so a shifted sum is accumulated as one integer numerator and turned into a
+and choose(2k+2l, k), each over a known denominator), the summand kernels
+of the two shifted Reed Dawson sums built from them, and memoized
+harmonic / odd-harmonic numbers.  The kernels work in integers inside, so
+a shifted sum is accumulated as one integer numerator and turned into a
 single `Fraction` at the end.
 """
 
@@ -113,6 +114,44 @@ def binom2k_numerators(ell: Fraction | int, m: int) -> list[int]:
     ell = Fraction(ell)
     a, b = ell.numerator, ell.denominator
     return [math.prod(range(2 * a + 2 * k * b, 2 * a + k * b, -b)) for k in range(m + 1)]
+
+
+def prop1_terms(n: int, ell: Fraction | int) -> tuple[list[int], int]:
+    """The terms of sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k)
+    as integers over one common denominator.
+
+    With l = a/b, choose(n+l, n-k) = U_{n-k} / (b^(n-k) (n-k)!) and
+    choose(2k+2l, k) = M_k / (b^k k!), so the k-th term is
+    (-1)^k 2^(n-k) C(n,k) U_{n-k} M_k over 2^n b^n n!.
+    """
+    ell = Fraction(ell)
+    upper = gbinom_numerators(n + ell, n)
+    b2k = binom2k_numerators(ell, n)
+    terms = [
+        (-1) ** k * 2 ** (n - k) * math.comb(n, k) * upper[n - k] * b2k[k] for k in range(n + 1)
+    ]
+    return terms, 2**n * ell.denominator**n * math.factorial(n)
+
+
+def prop2_terms(n: int, ell: Fraction | int) -> tuple[list[int], int]:
+    """The terms of sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k)
+    as integers over one common denominator.
+
+    choose(k+l, k) = (-1)^k choose(-l-1, k), and that sign cancels the one
+    in (-1/2)^k.  With l = a/b, choose(-l-1, k) = Q_k / (b^k k!) and
+    choose(2k+2l, k) = M_k / (b^k k!), so the k-th term is
+    C(n,k) M_k / (2^k Q_k); Q_k divides Q_n, so it is the integer
+    C(n,k) M_k 2^(n-k) Q_n/Q_k over 2^n Q_n.  Raises ValueError where
+    choose(k+l, k) vanishes for some k <= n.
+    """
+    ell = Fraction(ell)
+    b2k = binom2k_numerators(ell, n)
+    reflected = gbinom_numerators(-ell - 1, n)
+    top = reflected[n]
+    if top == 0:
+        raise ValueError(f"choose(k+l,k) vanishes at k={reflected.index(0)} for l={ell}")
+    terms = [math.comb(n, k) * b2k[k] * 2 ** (n - k) * (top // reflected[k]) for k in range(n + 1)]
+    return terms, 2**n * top
 
 
 # H_n = 1 + 1/2 + ... + 1/n and O_r = 1 + 1/3 + ... + 1/(2r-1), with

@@ -16,12 +16,13 @@ the factor 1/Gamma(2n-k+1) inside F cancels through
 
     (k-2n-1)(k-2n-2) Gamma(2n-k+1) = Gamma(2n-k+3).
 
-Every pair is built by `_pair` from one spec (the binomial row its
-summand reads, its normalisation, its certificate numerator), which
-derives F and R.  Its companion G is R * F, by `naive_companion`,
-wherever R is finite, and is hand-derived only at the two boundary
-points k = 2n+1, 2n+2, where it is that cancelled limit; so the pair
-equation can be verified at every grid point, boundary included.
+Every pair is built by `_pair` from one spec.  Its F is a registered
+identity's own summand at index 2n (the integer term row of
+`core.prop1_terms` or `core.prop2_terms`), times a normalisation free of
+k; its R carries the certificate numerator.  Its companion G is R * F, by
+`naive_companion`, wherever R is finite, and is hand-derived only at the
+two boundary points k = 2n+1, 2n+2, where it is that cancelled limit; so
+the pair equation can be verified at every grid point, boundary included.
 Evaluating a bare certificate where its denominator vanishes (and
 nothing cancels) raises CertificateDenominatorZero, which callers report
 separately from a nonzero residual.
@@ -33,11 +34,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from .core import CertificateDenominatorZero, binom2k_numerators, gbinom_numerators
-
-HALF = Fraction(1, 2)
+from .core import CertificateDenominatorZero, gbinom, prop1_terms, prop2_terms
 
 
 @dataclass(frozen=True)
@@ -53,45 +52,17 @@ class WZPair:
     defined: Callable[[int, Fraction], bool]
 
 
-class _Rows(NamedTuple):
-    upper: tuple[Fraction, ...]
-    central: tuple[Fraction, ...]
-    b2k: tuple[Fraction, ...]
-    shifted: tuple[Fraction, ...]
-
-
-def _over(numerators: list[int], b: int) -> tuple[Fraction, ...]:
-    """The row entries numerators[j] / (b^j j!)."""
-    row = []
-    den = 1
-    for j, num in enumerate(numerators):
-        if j:
-            den *= b * j
-        row.append(Fraction(num, den))
-    return tuple(row)
-
-
 @lru_cache(maxsize=4)
-def _rows(n: int, ell: Fraction) -> _Rows:
-    """The binomial rows every pair reads at one (n, l):
-
-    upper[j] = choose(2n+l, j) and central[j] = C(2n, j) for j = 0..2n;
-    b2k[k] = choose(2k+2l, k) and shifted[k] = choose(k+l, k) for
-    k = 0..2n+2, the last index a companion G(n, k) reaches.  Each entry
-    is one `Fraction` built from the integer numerators of `core`.
+def _summand_row(terms: Callable, norm: Callable, n: int, ell: Fraction) -> tuple[Fraction, ...]:
+    """F(n, k) for k = 0..2n: the registered summand's terms at index 2n,
+    times norm(n, l).
 
     A residual check at n reads rows n and n+1 and the row sum row n, so
-    a sweep along n keeps hitting a handful of entries.
+    a sweep along n keeps hitting a handful of rows.
     """
-    b = ell.denominator
-    # choose(k+l, k) = (-1)^k choose(-l-1, k)
-    reflected = _over(gbinom_numerators(-ell - 1, 2 * n + 2), b)
-    return _Rows(
-        _over(gbinom_numerators(2 * n + ell, 2 * n), b),
-        _over(gbinom_numerators(2 * n, 2 * n), 1),
-        _over(binom2k_numerators(ell, 2 * n + 2), b),
-        tuple(-r if k % 2 else r for k, r in enumerate(reflected)),
-    )
+    nums, den = terms(2 * n, ell)
+    scale = norm(n, ell) / den
+    return tuple(t * scale for t in nums)
 
 
 def naive_companion(
@@ -114,43 +85,39 @@ def naive_companion(
 
 def _pair(
     name: str,
-    row: Callable[[_Rows, Fraction], tuple[tuple[Fraction, ...], Fraction]],
+    terms: Callable[[int, Fraction], tuple[list[int], int]],
+    rest: Callable[[int, Fraction], Fraction],
+    shift: Callable[[Fraction], Fraction],
+    norm: Callable[[int, Fraction], Fraction],
     defined: Callable[[int, Fraction], bool],
-    normalise: Callable[[Fraction, _Rows, int, int], Fraction] | None = None,
     offset: int = 0,
 ) -> WZPair:
-    """The pair whose summand reads the binomial row `row(rows, l)` picks,
-    returned with that row's shift:
+    """The pair whose summand is the registered summand `terms` at index
+    2n, normalised by a factor free of k:
 
-        F(n,k) = (-1/2)^k choose(2k+2l, k) 4^n row[2n-k] * normalisation
+        F(n,k) = terms(2n, l)[k] * norm(n, l)
         R(n,k) = -k(k+offset+2l) / ((k-2n-1)(k-2n-2))
 
-    G is `naive_companion(F, R)`, that is R * F, at every k except
-    k = 2n+1, 2n+2.  There R has its pole and F its zero, and G is the
-    limit, with row[2n-k] = Gamma(2n+shift+1) / (Gamma(k+shift+1)
-    Gamma(2n-k+1)) continued past the support:
+    The k-th term is rest(k, l), the factors free of n, times the row
+    entry choose(2n+s, 2n-k) = Gamma(2n+s+1) / (Gamma(k+s+1) Gamma(2n-k+1))
+    with s = shift(l).  G is `naive_companion(F, R)`, that is R * F, at
+    every k except k = 2n+1, 2n+2.  There R has its pole and F its zero,
+    and G is the limit, with the row entry continued past the support:
 
-        G(n,k) = -k(k+offset+2l) (-1/2)^k choose(2k+2l, k) 4^n
-                 * normalisation / prod_{t=2n+1}^{k} (t+shift)
+        G(n,k) = -k(k+offset+2l) rest(k, l) norm(n, l)
+                 / prod_{t=2n+1}^{k} (t+s)
 
     A vanishing factor of that product raises CertificateDenominatorZero.
-    F lives on k = 0..2n and G on k = 1..2n+2; `normalise(value, rows,
-    n, k)` is applied last.
+    F lives on k = 0..2n and G on k = 1..2n+2.
     """
 
     def numerator(k: int, ell: Fraction) -> Fraction:
         return Fraction(-k) * ((k + offset) + 2 * ell)
 
-    def head(n: int, k: int, rows: _Rows) -> Fraction:
-        return (-HALF) ** k * rows.b2k[k] * 4**n
-
     def F(n: int, k: int, ell: Fraction) -> Fraction:
         if k < 0 or k > 2 * n:
             return Fraction(0)
-        rows = _rows(n, ell)
-        binoms, _ = row(rows, ell)
-        value = head(n, k, rows) * binoms[2 * n - k]
-        return normalise(value, rows, n, k) if normalise else value
+        return _summand_row(terms, norm, n, ell)[k]
 
     def R(n: int, k: int, ell: Fraction) -> Fraction:
         den = (k - 2 * n - 1) * (k - 2 * n - 2)
@@ -163,16 +130,19 @@ def _pair(
     def G(n: int, k: int, ell: Fraction) -> Fraction:
         if k not in (2 * n + 1, 2 * n + 2):
             return companion(n, k, ell)
-        rows = _rows(n, ell)
-        _, shift = row(rows, ell)
-        factors = [top + shift for top in range(2 * n + 1, k + 1)]
+        s = shift(ell)
+        factors = [top + s for top in range(2 * n + 1, k + 1)]
         if 0 in factors:
             top = 2 * n + 1 + factors.index(0)
-            raise CertificateDenominatorZero(f"Gamma ratio factor {top}+l vanishes at k={k}, l={shift}")
-        value = numerator(k, ell) * head(n, k, rows) / math.prod(factors)
-        return normalise(value, rows, n, k) if normalise else value
+            raise CertificateDenominatorZero(f"Gamma ratio factor {top}+l vanishes at k={k}, l={s}")
+        return numerator(k, ell) * rest(k, ell) * norm(n, ell) / math.prod(factors)
 
     return WZPair(name, F, R, G, defined)
+
+
+def _head(k: int, ell: Fraction) -> Fraction:
+    """(-1/2)^k choose(2k+2l, k), the factor every pair's term carries."""
+    return Fraction(-1, 2) ** k * gbinom(2 * k + 2 * ell, k)
 
 
 def register_prop1_certificate() -> WZPair:
@@ -182,9 +152,12 @@ def register_prop1_certificate() -> WZPair:
     """
     return _pair(
         "prop1",
-        lambda rows, ell: (rows.upper, ell),
-        defined=lambda n, ell: _rows(n, ell).upper[n] != 0,
-        normalise=lambda value, rows, n, k: value / rows.upper[n],
+        prop1_terms,
+        _head,
+        lambda ell: ell,
+        lambda n, ell: 4**n / gbinom(2 * n + ell, n),
+        # choose(2n+l, n) vanishes exactly at the integers -2n <= l <= -n-1
+        defined=lambda n, ell: ell.denominator != 1 or not -2 * n <= ell <= -n - 1,
     )
 
 
@@ -196,12 +169,12 @@ def register_prop2_certificate() -> WZPair:
     """
     return _pair(
         "prop2",
-        lambda rows, ell: (rows.central, Fraction(0)),
+        prop2_terms,
+        lambda k, ell: _head(k, ell) / gbinom(k + ell, k),
+        lambda ell: Fraction(0),
+        lambda n, ell: 4**n * gbinom(n + ell, n) / math.comb(2 * n, n),
         # choose(k+l, k) = (l+1)_k / k! must stay nonzero through k = 2n+2
         defined=lambda n, ell: ell.denominator != 1 or not -(2 * n + 2) <= ell <= -1,
-        normalise=lambda value, rows, n, k: (
-            value * rows.shifted[n] / (rows.shifted[k] * rows.central[n])
-        ),
     )
 
 
@@ -211,7 +184,10 @@ def negative_control() -> WZPair:
     k(k+2l+1).  Both the residual check and the row-sum check must fail."""
     return _pair(
         "negative-control",
-        lambda rows, ell: (rows.upper, ell),
+        prop1_terms,
+        _head,
+        lambda ell: ell,
+        lambda n, ell: Fraction(4**n),
         defined=lambda n, ell: True,
         offset=1,
     )

@@ -1,7 +1,9 @@
-"""Primitive arithmetic: Pochhammer, generalized binomials and the integer
-numerators of their rows, harmonic numbers."""
+"""Primitive arithmetic: Pochhammer, generalized binomials, the integer
+numerators of their rows and the summand kernels built from them,
+harmonic numbers."""
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -96,6 +98,32 @@ def test_binom2k_row_matches_gbinom(ell, m):
     assert all(isinstance(u, int) for u in nums)
     expected = [core.gbinom(2 * k + 2 * ell, k) for k in range(m + 1)]
     assert _over(nums, ell.denominator) == expected
+
+
+def _literal_term(name, n, k, ell):
+    term = F(-1, 2) ** k * core.gbinom(2 * k + 2 * ell, k)
+    if name == "prop1":
+        return term * core.gbinom(n + ell, n - k)
+    return term * math.comb(n, k) / core.gbinom(k + ell, k)
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from(("prop1", "prop2")),
+    st.integers(min_value=0, max_value=16),
+    st.builds(F, st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=6)),
+)
+def test_summand_kernels_match_gbinom_term_by_term(name, n, ell):
+    # abel-first and the WZ pairs read single terms, not only their sum
+    kernel = {"prop1": core.prop1_terms, "prop2": core.prop2_terms}[name]
+    if name == "prop2" and ell.denominator == 1 and -n <= ell <= -1:
+        message = f"choose(k+l,k) vanishes at k={-ell} for l={ell}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kernel(n, ell)
+        return
+    terms, den = kernel(n, ell)
+    assert all(isinstance(t, int) for t in terms)
+    assert [F(t, den) for t in terms] == [_literal_term(name, n, k, ell) for k in range(n + 1)]
 
 
 def test_harmonic_values():

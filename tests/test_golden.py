@@ -1,4 +1,4 @@
-"""Golden output: three canonical runs must keep printing the same records.
+"""Golden output: four canonical runs must keep printing the same records.
 
 Each run goes through `cli.main` in-process.  The `micros` field of every
 record (wall-clock timing) is dropped before hashing, so what is pinned is
@@ -11,7 +11,10 @@ by running the same command on the parent commit and on the change, e.g.
     PYTHONPATH=src python -m knuthsums wz --n-max 20 --format json > after.jsonl
 
 and diffing the two outputs with `micros` removed.  Update a constant only
-when the change to the output is intended and argued.
+when the change to the output is intended and argued.  To print each run's
+exit code and digest, for comparing two checkouts at a glance, run
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
@@ -52,7 +55,21 @@ GOLDEN = [
         1,
         "269bdbf7e141dd2ae6614ed5ff28b850158751f87594d81499aef1dbb7bfc725",
     ),
+    (
+        # negative integer and half-integer shifts, where the pairs'
+        # binomials or boundary factors vanish: 287 of the 1242 records
+        # are reasoned skips
+        (
+            "wz", "--n-max", "8",
+            "--ell=-1,-2,-3,-4,-5,-6,-7,-8,-9,-10,-11,-12,-13,-14,-15,-16,-17,-18,"
+            "-1/2,-3/2,-5/2,-7/2,-17/2",
+            "--format", "json",
+        ),
+        1,
+        "2ea6ebef06632f3f1a024c914192badc110c97394f557d8dbb28e58304a5bbdb",
+    ),
 ]
+IDS = ("verify-n40", "wz-n20", "wz-n6-poles", "wz-n8-pole-grid")
 
 
 def output_digest(out: str) -> str:
@@ -64,7 +81,7 @@ def output_digest(out: str) -> str:
     return hashlib.sha256("\n".join(records).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=("verify-n40", "wz-n20", "wz-n6-poles"))
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=IDS)
 def test_output_matches_golden(capsys, argv, code, digest):
     got_code = cli.main(list(argv))
     got = output_digest(capsys.readouterr().out)
@@ -74,3 +91,14 @@ def test_output_matches_golden(capsys, argv, code, digest):
         f"this change and diff the two (micros dropped) to find the first "
         f"differing record"
     )
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    for name, (argv, _, _) in zip(IDS, GOLDEN):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        print(name, code, output_digest(out.getvalue()))

@@ -117,6 +117,16 @@ def test_residual_grid_and_row_sum():
     assert wz.row_sum(neg, 3, F(1, 2)) == wz.wz_sum_constant(neg, 3, F(1, 2))[3] != 1
 
 
+def test_prop1_defined_is_where_its_normalisation_is_nonzero():
+    # the interval test replaces evaluating choose(2n+l, n) itself, which
+    # stays here as the reference
+    pair = PAIRS["prop1"]
+    shifts = [F(i) for i in range(-30, 6)] + [F(-1, 2), F(-7, 2), F(-1, 3), F(-25, 4), F(7, 5)]
+    for n in range(13):
+        for ell in shifts:
+            assert pair.defined(n, ell) == (gbinom(2 * n + ell, n) != 0), (n, ell)
+
+
 def test_undefined_shift_reported_distinctly():
     pair = PAIRS["prop1"]
     # l = -3 zeroes choose(2n+l, n) at n = 2, so row 2 is undefined
