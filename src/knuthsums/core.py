@@ -2,14 +2,15 @@
 
 Every value that crosses a module boundary is an exact rational
 (`fractions.Fraction`); nothing is ever rounded.  This module supplies the
-building blocks: rising factorials (Pochhammer symbols), generalized
-binomial coefficients with a rational upper argument, the integer
-numerators of the two binomial rows every shifted sum walks (choose(x, j)
-and choose(2k+2l, k), each over a known denominator), the summand kernels
-of the two shifted Reed Dawson sums built from them, and memoized
-harmonic / odd-harmonic numbers.  The kernels work in integers inside, so
-a shifted sum is accumulated as one integer numerator and turned into a
-single `Fraction` at the end.
+building blocks: rising and falling factorials, generalized binomial
+coefficients with a rational upper argument, the integer numerators of
+the two binomial rows every shifted sum walks (choose(x, j) and
+choose(2k+2l, k), each over a known denominator), the summand kernels of
+the two shifted Reed Dawson sums built from them, and memoized
+harmonic / odd-harmonic numbers.  Everything but the harmonic numbers
+works in integers inside: a factorial of x = p/q is one integer product
+over a power of q, and a shifted sum is accumulated as one integer
+numerator; each builds a single `Fraction` at the end.
 """
 
 from __future__ import annotations
@@ -55,25 +56,24 @@ def is_nonpositive_integer(x: Fraction | int) -> bool:
 
 
 def pochhammer(x: Fraction | int, k: int) -> Fraction:
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1."""
+    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1.
+
+    With x = p/q, (x)_k = p (p+q) ... (p+(k-1)q) / q^k: one integer
+    prefix product over one power of q.
+    """
     if k < 0:
         raise ValueError(f"pochhammer order must be nonnegative, got {k}")
-    x = Fraction(x)
-    out = Fraction(1)
-    for j in range(k):
-        out *= x + j
-    return out
+    p, q = x.numerator, x.denominator
+    return Fraction(math.prod(range(p, p + k * q, q)), q**k)
 
 
 def falling(x: Fraction | int, k: int) -> Fraction:
-    """Falling factorial x (x-1) ... (x-k+1)."""
+    """Falling factorial x (x-1) ... (x-k+1), with x = p/q the integer
+    product p (p-q) ... (p-(k-1)q) over q^k."""
     if k < 0:
         raise ValueError(f"falling-factorial order must be nonnegative, got {k}")
-    x = Fraction(x)
-    out = Fraction(1)
-    for j in range(k):
-        out *= x - j
-    return out
+    p, q = x.numerator, x.denominator
+    return Fraction(math.prod(range(p, p - k * q, -q)), q**k)
 
 
 def gbinom(a: Fraction | int, m: int) -> Fraction:

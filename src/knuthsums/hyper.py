@@ -2,8 +2,11 @@
 
 A series here is a pFq whose upper parameter list contains a nonpositive
 integer, so the sum has finitely many nonzero terms and is meaningful even
-at arguments (like z = 2) far outside the convergence disk.  Alongside the
-generic evaluator live the two classical 2F1(2) closed forms this package
+at arguments (like z = 2) far outside the convergence disk.  The generic
+evaluator sums those terms through their term ratio, a quotient of two
+integers once every parameter is written p/q, keeping one integer
+numerator and denominator and building a single `Fraction` at the end.
+Alongside it live the two classical 2F1(2) closed forms this package
 leans on:
 
     2F1[-2n,     a; 2a | 2] = (1/2)_n / (a+1/2)_n
@@ -16,6 +19,7 @@ for odd upper index).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,24 +63,26 @@ class HyperSeries:
 def eval_terminating(series: HyperSeries) -> Fraction:
     """Sum the series exactly: sum_{k=0}^{N} prod(upper)_k / prod(lower)_k * z^k / k!.
 
-    Each term is built from the previous one with a single multiplication
-    per parameter, so the whole evaluation is O(N * (p+q)) rational ops.
+    The k-th term is the (k-1)-th times the term ratio
+    r_k = prod(u+k-1) / prod(l+k-1) * z / k.  With each parameter written
+    p/q, r_k is the integer z_num * prod_lower q * prod_upper (p+(k-1)q)
+    over the integer z_den * k * prod_upper q * prod_lower (p+(k-1)q).
+    The sum 1 + r_1 (1 + r_2 (1 + ... (1 + r_N))) is accumulated by
+    Horner's rule from k = N down to 1 as one integer numerator over one
+    integer denominator, and reduced once at the end.  No lower factor
+    l+k-1 vanishes for k <= N: HyperSeries rejects every such l.
     """
-    n = series.termination_index
+    upper = [(u.numerator, u.denominator) for u in series.upper]
+    lower = [(l.numerator, l.denominator) for l in series.lower]
     z = series.argument
-    total = Fraction(1)
-    term = Fraction(1)
-    for k in range(1, n + 1):
-        for u in series.upper:
-            term *= u + k - 1
-        for l in series.lower:
-            d = l + k - 1
-            if d == 0:
-                raise ValueError(f"lower parameter {l} vanishes at term {k}")
-            term /= d
-        term = term * z / k
-        total += term
-    return total
+    num_scale = z.numerator * math.prod(q for _, q in lower)
+    den_scale = z.denominator * math.prod(q for _, q in upper)
+    a = b = 1
+    for k in range(series.termination_index, 0, -1):
+        num = num_scale * math.prod(p + (k - 1) * q for p, q in upper)
+        den = den_scale * k * math.prod(p + (k - 1) * q for p, q in lower)
+        a, b = b * den + num * a, b * den
+    return Fraction(a, b)
 
 
 def kummer_even(n: int, a: Fraction | int) -> Fraction:

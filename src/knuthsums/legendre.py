@@ -62,12 +62,20 @@ def moment(p: Fraction | int, n: int) -> gammaprod.GammaValue:
 
 def moment_by_expansion(p: Fraction | int, n: int) -> Fraction:
     """Brute-force oracle for moment(): integrate the monomial expansion
-    term by term, sum_j coeffs[j] / (p + j + 1)."""
+    term by term, sum_j coeffs[j] / (p + j + 1).
+
+    With p = a/d the j-th term is coeffs[j] d / (a + (j+1) d); the terms
+    are summed as integers over L, the lcm of those denominators, and
+    reduced once at the end.
+    """
     p = Fraction(p)
     if p <= -1:
         raise ValueError(f"moment requires p > -1, got {p}")
-    poly = shifted_legendre(n)
-    return sum((Fraction(c) / (p + j + 1) for j, c in enumerate(poly.coeffs)), Fraction(0))
+    a, d = p.numerator, p.denominator
+    coeffs = shifted_legendre(n).coeffs
+    dens = [a + (j + 1) * d for j in range(len(coeffs))]
+    lcm = math.lcm(*dens)
+    return Fraction(sum(c * d * (lcm // m) for c, m in zip(coeffs, dens)), lcm)
 
 
 def log_moment_sqrt_lhs(n: int) -> Fraction:

@@ -7,7 +7,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knuthsums import core
@@ -32,6 +32,35 @@ def test_pochhammer_rejects_negative_order():
 @given(rationals, st.integers(min_value=1, max_value=12))
 def test_pochhammer_recurrence(x, k):
     assert core.pochhammer(x, k) == core.pochhammer(x, k - 1) * (x + k - 1)
+
+
+def _factor_loop(x, k, step):
+    """x (x+step) ... (x+(k-1)step), multiplied out one Fraction at a time."""
+    out = F(1)
+    for j in range(k):
+        out *= x + j * step
+    return out
+
+
+@given(
+    st.one_of(rationals, st.integers(min_value=-25, max_value=25)),
+    st.integers(min_value=0, max_value=20),
+)
+@example(-3, 6)  # rising product crosses zero
+@example(3, 6)  # falling product crosses zero
+@example(-4, 3)  # negative integer, zero not reached
+@example(F(-7, 2), 0)
+def test_pochhammer_and_falling_match_factor_loop(x, k):
+    # integers of either sign make the rising product cross zero (x <= 0)
+    # and the falling one cross it too (x >= 0), k = 0 is the empty product
+    assert core.pochhammer(x, k) == _factor_loop(F(x), k, 1)
+    assert core.falling(x, k) == _factor_loop(F(x), k, -1)
+    assert type(core.pochhammer(x, k)) is type(core.falling(x, k)) is F
+
+
+def test_falling_rejects_negative_order():
+    with pytest.raises(ValueError):
+        core.falling(F(1, 2), -1)
 
 
 def test_gbinom_values():

@@ -1,9 +1,12 @@
-"""Golden output: four canonical runs must keep printing the same records.
+"""Golden output: five canonical runs must keep printing the same records.
 
-Each run goes through `cli.main` in-process.  The `micros` field of every
+Four runs go through `cli.main` in-process.  The `micros` field of every
 record (wall-clock timing) is dropped before hashing, so what is pinned is
 exactly the "same results" of the design rule: every record's identity,
 parameters, both sides, status and reason, in order, plus the exit code.
+The fifth runs `main` of `perfbench/closed_forms.py`, whose records carry
+no timing, over Kummer, Gauss-second and Legendre-moment draws: the only
+golden run that reaches `hyper`, `gammaprod` and `legendre`.
 
 When a change moves one of these hashes, find the first differing record
 by running the same command on the parent commit and on the change, e.g.
@@ -18,7 +21,9 @@ exit code and digest, for comparing two checkouts at a glance, run
 """
 
 import hashlib
+import io
 import json
+import os
 
 import pytest
 
@@ -71,6 +76,21 @@ GOLDEN = [
 ]
 IDS = ("verify-n40", "wz-n20", "wz-n6-poles", "wz-n8-pole-grid")
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+# the draws of the benchmark's closed-forms workload at seed 1: 2F1(2)
+# Kummer series for n <= 20, Gauss-second series for n <= 20 and Legendre
+# moments for n <= 16; 842 records, all passing
+CLOSED_FORMS = (
+    (
+        "--kummer-a=1,4,1/2,5/2,-1/3,-13/4,1/5,-17/7", "--kummer-n-max", "20",
+        "--gauss-b=1/2,-28/3,7/4,-18/5,32/7,-31/9,25/2,-5/3,-35/4,3/5,23/7,-29/9,7/2,2/3,-7/2,6/5",
+        "--gauss-n-max", "20",
+        "--moment-p=8,1/2,25/3,2,11/2,-2/3,4,10,1,0", "--moment-n-max", "16",
+    ),
+    0,
+    "5100340dfb9c2953d0a34a8604169808c97b4a1eaa97d36fbd1edc0c0efacc23",
+)
+
 
 def output_digest(out: str) -> str:
     records = []
@@ -93,12 +113,35 @@ def test_output_matches_golden(capsys, argv, code, digest):
     )
 
 
+def closed_forms_run(closed_forms, argv) -> tuple[int, str]:
+    """Exit code and sha256 of the closed-forms driver's output."""
+    out = io.StringIO()
+    code = closed_forms.main(list(argv), out)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_closed_forms_match_golden(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import closed_forms
+
+    argv, code, digest = CLOSED_FORMS
+    assert closed_forms_run(closed_forms, argv) == (code, digest), (
+        "output of `PYTHONPATH=src python perfbench/closed_forms.py "
+        + " ".join(argv)
+        + "` changed; diff it against the parent commit's"
+    )
+
+
 if __name__ == "__main__":
     import contextlib
-    import io
+    import sys
 
     for name, (argv, _, _) in zip(IDS, GOLDEN):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(list(argv))
         print(name, code, output_digest(out.getvalue()))
+    sys.path.insert(0, PERFBENCH)
+    import closed_forms
+
+    print("closed-forms", *closed_forms_run(closed_forms, CLOSED_FORMS[0]))

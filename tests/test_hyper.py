@@ -7,7 +7,6 @@ from fractions import Fraction as F
 import pytest
 
 from knuthsums import catalog
-from knuthsums.core import pochhammer
 from knuthsums.hyper import (
     HyperSeries,
     eval_terminating,
@@ -38,6 +37,18 @@ def test_series_invariants_enforced():
         HyperSeries((-4, 1), (-2,), 1)  # denominator Pochhammer dies in range
     s = HyperSeries((-4, -7), (F(1, 3),), 2)
     assert s.termination_index == 4
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+def test_lower_parameter_that_vanishes_in_range_is_rejected(n):
+    # eval_terminating divides by l+k-1 for k <= N and relies on this:
+    # every integer lower parameter b in [-N, 0] is refused up front
+    for b in range(-n, 1):
+        with pytest.raises(ValueError, match="vanish within range"):
+            HyperSeries((-n, F(1, 3)), (F(5, 2), b), 2)
+    # b = -N-1 first vanishes at term N+2, past the last term
+    series = HyperSeries((-n, F(1, 3)), (F(5, 2), -n - 1), 2)
+    assert eval_terminating(series) == _eval_from_scratch(series)
 
 
 def test_kummer_even_examples():
@@ -93,20 +104,46 @@ def test_prop2_series_equals_brute_force_lhs():
 
 
 def _eval_from_scratch(series):
+    """sum_k prod(upper)_k / prod(lower)_k z^k / k!, every Pochhammer
+    multiplied out factor by factor."""
+
+    def rising(x, k):
+        out = F(1)
+        for j in range(k):
+            out *= x + j
+        return out
+
     n = series.termination_index
     total = F(0)
     for k in range(n + 1):
         num = F(1)
         for u in series.upper:
-            num *= pochhammer(u, k)
+            num *= rising(u, k)
         den = F(math.factorial(k))
         for l in series.lower:
-            den *= pochhammer(l, k)
+            den *= rising(l, k)
         total += num * series.argument**k / den
     return total
 
 
+# (upper, lower, z, termination index)
+EDGE_SERIES = [
+    ((-5, F(2, 3)), (F(7, 2),), 0, 5),  # z = 0: only the k = 0 term
+    ((-6, F(-5, 3), 4), (F(1, 2), F(-7, 4)), F(-9, 2), 6),  # negative z
+    ((-7, F(3, 5)), (F(-1, 3),), -1, 7),
+    ((0, F(7, 3)), (F(1, 5), -3), F(-6, 7), 0),  # a single term
+    # two witnesses: the smaller, 4, wins; summing on to 9 would hit the
+    # lower parameter -6, which vanishes at term 7
+    ((-9, -4, F(1, 2)), (F(3, 2), -6), 2, 4),
+    ((-3, -8), (F(5, 3), F(-2, 7)), F(-1, 4), 3),
+]
+
+
 def test_term_recurrence_matches_pochhammer_evaluation():
+    for upper, lower, z, n in EDGE_SERIES:
+        series = HyperSeries(upper, lower, z)
+        assert series.termination_index == n
+        assert eval_terminating(series) == _eval_from_scratch(series), (upper, lower, z)
     rng = random.Random(20260809)
     checked = 0
     while checked < 100:
@@ -114,9 +151,9 @@ def test_term_recurrence_matches_pochhammer_evaluation():
         p = rng.randint(1, 3)
         q = rng.randint(1, 3)
         upper = [F(-n)] + [
-            F(rng.randint(-12, 12), rng.choice([2, 3, 5, 7])) for _ in range(p - 1)
+            F(rng.randint(-12, 12), rng.choice([1, 2, 3, 5, 7])) for _ in range(p - 1)
         ]
-        lower = [F(rng.randint(-12, 12), rng.choice([2, 3, 5, 7])) for _ in range(q)]
+        lower = [F(rng.randint(-12, 12), rng.choice([1, 2, 3, 5, 7])) for _ in range(q)]
         z = F(rng.randint(-6, 6), rng.randint(1, 4))
         try:
             series = HyperSeries(upper, lower, z)
