@@ -51,8 +51,6 @@ def _factor_loop(x, k, step):
 @example(-4, 3)  # negative integer, zero not reached
 @example(F(-7, 2), 0)
 def test_pochhammer_and_falling_match_factor_loop(x, k):
-    # integers of either sign make the rising product cross zero (x <= 0)
-    # and the falling one cross it too (x >= 0), k = 0 is the empty product
     assert core.pochhammer(x, k) == _factor_loop(F(x), k, 1)
     assert core.falling(x, k) == _factor_loop(F(x), k, -1)
     assert type(core.pochhammer(x, k)) is type(core.falling(x, k)) is F
