@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import gbinom, pochhammer, prop1_terms
+from .core import exact_sum, gbinom, pochhammer, prop1_terms
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,15 @@ def abel1_lhs(n: int, ell: Fraction | int) -> Fraction:
     """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k) k(n-k)/(k+2l+1).
 
     With l = a/b these are prop1's integer terms (`core.prop1_terms`), each
-    times the weight k(n-k) b / (kb+2a+b); the weights are brought over
-    the lcm L of their denominators, so the sum is one integer over L
-    times prop1's denominator.
+    times the weight k(n-k) b / (kb+2a+b), summed by `core.exact_sum` and
+    divided by prop1's denominator.
     """
     ell = Fraction(ell)
     a, b = ell.numerator, ell.denominator
     terms, den = prop1_terms(n, ell)
-    inner = range(1, n)  # k(n-k) vanishes at k = 0 and k = n
-    lcm = math.lcm(*(k * b + 2 * a + b for k in inner))
-    total = sum(terms[k] * k * (n - k) * b * (lcm // (k * b + 2 * a + b)) for k in inner)
-    return Fraction(total, lcm * den)
+    # k(n-k) vanishes at k = 0 and k = n
+    weighted = ((terms[k] * k * (n - k) * b, k * b + 2 * a + b) for k in range(1, n))
+    return exact_sum(weighted) / den
 
 
 def abel1_rhs(n: int, ell: Fraction | int) -> Fraction:
@@ -105,15 +103,13 @@ def abel1_rhs(n: int, ell: Fraction | int) -> Fraction:
 
 def abel2_lhs(n: int) -> Fraction:
     """sum_{k=0}^n (-1/2)^k C(2k,k) C(n,k) (2k+1)(k^2+3k+3)(n-k) / ((k+1)^2 (k+2)(k+3))."""
-    total = Fraction(0)
-    for k in range(n + 1):
-        num = (2 * k + 1) * (k * k + 3 * k + 3) * (n - k)
-        if num == 0:
-            continue
-        num *= (-1) ** k * math.comb(2 * k, k) * math.comb(n, k)
-        den = 2**k * (k + 1) ** 2 * (k + 2) * (k + 3)
-        total += Fraction(num, den)
-    return total
+
+    def term(k: int) -> tuple[int, int]:
+        num = (-1) ** k * math.comb(2 * k, k) * math.comb(n, k)
+        num *= (2 * k + 1) * (k * k + 3 * k + 3) * (n - k)
+        return num, 2**k * (k + 1) ** 2 * (k + 2) * (k + 3)
+
+    return exact_sum(term(k) for k in range(n + 1))
 
 
 def abel2_rhs(n: int) -> Fraction:

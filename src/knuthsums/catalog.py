@@ -1,6 +1,5 @@
 """The identity registry: every closed-form summation identity this
-package verifies, as (brute-force LHS, closed-form RHS, validity) triples
-over a typed parameter space.
+package verifies, as (brute-force LHS, closed-form RHS, validity) triples.
 
 Each identity is registered under a stable kebab-case key.  The LHS
 evaluator is always the plain finite sum over exact rationals -- the
@@ -17,8 +16,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import abel, legendre
-from .core import CertificateDenominatorZero, format_rational, gbinom, harmonic, odd_harmonic
-from .core import prop1_terms, prop2_terms
+from .core import CertificateDenominatorZero, exact_sum, format_rational, gbinom, harmonic
+from .core import odd_harmonic, prop1_terms, prop2_terms
 
 # Mixes integers, half-integers and generic rationals; identities skip the
 # grid points their validity predicate excludes.
@@ -53,9 +52,6 @@ class Identity:
     rhs: Callable[..., Fraction]
     validity: Callable[..., bool] = field(default=lambda **params: True)
 
-    def evaluate(self, **params) -> tuple[Fraction, Fraction]:
-        return self.lhs(**params), self.rhs(**params)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -68,10 +64,6 @@ class VerificationReport:
     status: str  # "pass" | "fail" | "skip"
     reason: str = ""
     micros: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
     def to_record(self) -> dict:
         params = {
@@ -159,13 +151,16 @@ def prop2_rhs(n: int, ell: Fraction) -> Fraction:
 
 
 def hkmix_lhs(n: int) -> Fraction:
-    """sum_{k=0}^{2n} (-1/2)^k C(2k,k) C(2n,k) (3 H_k - 2 H_{2k})."""
-    total = Fraction(0)
-    for k in range(2 * n + 1):
-        w = 3 * harmonic(k) - 2 * harmonic(2 * k)
-        if w:
-            total += Fraction((-1) ** k * math.comb(2 * k, k) * math.comb(2 * n, k), 2**k) * w
-    return total
+    """sum_{k=0}^{2n} (-1/2)^k C(2k,k) C(2n,k) (3 H_k - 2 H_{2k}), each term
+    passed to `exact_sum` as its H_k part and its H_{2k} part."""
+
+    def terms(k: int) -> Iterator[tuple[int, int]]:
+        c = (-1) ** k * math.comb(2 * k, k) * math.comb(2 * n, k)
+        h, h2 = harmonic(k), harmonic(2 * k)
+        yield 3 * c * h.numerator, 2**k * h.denominator
+        yield -2 * c * h2.numerator, 2**k * h2.denominator
+
+    return exact_sum(pair for k in range(2 * n + 1) for pair in terms(k))
 
 
 def hkmix_rhs(n: int) -> Fraction:
@@ -173,12 +168,15 @@ def hkmix_rhs(n: int) -> Fraction:
     return Fraction(math.comb(2 * n, n), 4**n) * harmonic(n)
 
 
+def _harmonic_over_next(m: int, k: int) -> tuple[int, int]:
+    """The term (-2)^k C(m,k) H_k / (k+1) as an integer pair."""
+    h = harmonic(k)
+    return (-2) ** k * math.comb(m, k) * h.numerator, (k + 1) * h.denominator
+
+
 def oddh_corollary_lhs(m: int) -> Fraction:
     """sum_{k=0}^m (-2)^k C(m,k) H_k / (k+1)."""
-    total = Fraction(0)
-    for k in range(1, m + 1):
-        total += Fraction((-2) ** k * math.comb(m, k), k + 1) * harmonic(k)
-    return total
+    return exact_sum(_harmonic_over_next(m, k) for k in range(m + 1))
 
 
 def oddh_corollary_rhs(m: int) -> Fraction:
@@ -190,10 +188,7 @@ def oddh_corollary_rhs(m: int) -> Fraction:
 
 def intermediate_lhs(n: int) -> Fraction:
     """sum_{k=0}^{2n} (-2)^k C(2n+1,k) H_k / (k+1)."""
-    total = Fraction(0)
-    for k in range(1, 2 * n + 1):
-        total += Fraction((-2) ** k * math.comb(2 * n + 1, k), k + 1) * harmonic(k)
-    return total
+    return exact_sum(_harmonic_over_next(2 * n + 1, k) for k in range(2 * n + 1))
 
 
 def intermediate_rhs(n: int) -> Fraction:
@@ -235,17 +230,13 @@ def gfpoly_rhs(n: int, x: Fraction) -> Fraction:
 
 def tauraso_lhs(n: int) -> Fraction:
     """sum_{k=0}^{2n} (-1)^k C(2n,k) C(2n+k,k) C(2k,k) 4^(2n-k) H_k."""
-    total = Fraction(0)
-    for k in range(1, 2 * n + 1):
-        c = (
-            (-1) ** k
-            * math.comb(2 * n, k)
-            * math.comb(2 * n + k, k)
-            * math.comb(2 * k, k)
-            * 4 ** (2 * n - k)
-        )
-        total += c * harmonic(k)
-    return total
+
+    def term(k: int) -> tuple[int, int]:
+        h = harmonic(k)
+        c = (-1) ** k * math.comb(2 * n, k) * math.comb(2 * n + k, k) * math.comb(2 * k, k)
+        return c * 4 ** (2 * n - k) * h.numerator, h.denominator
+
+    return exact_sum(term(k) for k in range(2 * n + 1))
 
 
 def tauraso_rhs(n: int) -> Fraction:
@@ -435,15 +426,18 @@ def run_sweep(
                 break
         return reports
 
-    if jobs <= 1:
+    # a pool forks all its workers at the first submit: ask for no more
+    # than there are cases
+    workers = min(jobs, len(cases))
+    if workers <= 1:
         reports = collect(map(_verify_case, cases))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         # a few chunks per worker: cases grow costlier along n, so one
         # chunk per worker would leave the others idle at the end
-        chunksize = max(1, len(cases) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunksize = max(1, len(cases) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = collect(pool.map(_verify_case, cases, chunksize=chunksize))
             pool.shutdown(cancel_futures=True)
     reports.sort(key=lambda r: (r.identity, tuple(v for _, v in r.params)))

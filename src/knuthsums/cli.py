@@ -126,7 +126,7 @@ def _exit_code(reports: list[VerificationReport]) -> int:
     if "fail" in statuses:
         return 1
     if statuses and all(s == "skip" for s in statuses):
-        print("warning: every case was validity-skipped", file=sys.stderr)
+        print("warning: every case was skipped", file=sys.stderr)
     return 0
 
 

@@ -9,8 +9,10 @@ choose(2k+2l, k), each over a known denominator), the summand kernels of
 the two shifted Reed Dawson sums built from them, and memoized
 harmonic / odd-harmonic numbers.  Everything but the harmonic numbers
 works in integers inside: a factorial of x = p/q is one integer product
-over a power of q, and a shifted sum is accumulated as one integer
-numerator; each builds a single `Fraction` at the end.
+over a power of q, a shifted sum is accumulated as one integer
+numerator, and every other literal sum of rationals goes through
+`exact_sum`, one integer numerator over the lcm of its denominators;
+each builds a single `Fraction` at the end.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from typing import Iterable
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -53,6 +56,19 @@ def format_rational(value: Fraction | int) -> str:
 def is_nonpositive_integer(x: Fraction | int) -> bool:
     q = Fraction(x)
     return q.denominator == 1 and q.numerator <= 0
+
+
+def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of the rationals num/den given as integer pairs (num, den),
+    as one integer numerator over the lcm L of the denominators:
+    sum num * (L // den) over L, reduced once.  An empty sum is 0.
+
+    Denominators must be nonzero; a negative one keeps its sign through
+    L // den.
+    """
+    terms = list(terms)
+    lcm = math.lcm(*(den for _, den in terms))
+    return Fraction(sum(num * (lcm // den) for num, den in terms), lcm)
 
 
 def pochhammer(x: Fraction | int, k: int) -> Fraction:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gammaprod
-from .core import harmonic, odd_harmonic
+from .core import exact_sum, harmonic, odd_harmonic
 
 
 @dataclass(frozen=True)
@@ -64,28 +64,20 @@ def moment_by_expansion(p: Fraction | int, n: int) -> Fraction:
     """Brute-force oracle for moment(): integrate the monomial expansion
     term by term, sum_j coeffs[j] / (p + j + 1).
 
-    With p = a/d the j-th term is coeffs[j] d / (a + (j+1) d); the terms
-    are summed as integers over L, the lcm of those denominators, and
-    reduced once at the end.
+    With p = a/d the j-th term is coeffs[j] d / (a + (j+1) d), summed
+    by `core.exact_sum`.
     """
     p = Fraction(p)
     if p <= -1:
         raise ValueError(f"moment requires p > -1, got {p}")
     a, d = p.numerator, p.denominator
-    coeffs = shifted_legendre(n).coeffs
-    dens = [a + (j + 1) * d for j in range(len(coeffs))]
-    lcm = math.lcm(*dens)
-    return Fraction(sum(c * d * (lcm // m) for c, m in zip(coeffs, dens)), lcm)
+    return exact_sum((c * d, a + (j + 1) * d) for j, c in enumerate(shifted_legendre(n).coeffs))
 
 
 def log_moment_sqrt_lhs(n: int) -> Fraction:
     """int_0^1 ln(x)/sqrt(x) P_n(2x-1) dx, exactly: each monomial x^j
     contributes coeffs[j] * (-4/(2j+1)^2)."""
-    poly = shifted_legendre(n)
-    return sum(
-        (Fraction(-4 * c, (2 * j + 1) ** 2) for j, c in enumerate(poly.coeffs)),
-        Fraction(0),
-    )
+    return exact_sum((-4 * c, (2 * j + 1) ** 2) for j, c in enumerate(shifted_legendre(n).coeffs))
 
 
 def log_moment_sqrt_rhs(n: int) -> Fraction:
@@ -100,12 +92,12 @@ def log_moment_sqrt_rhs(n: int) -> Fraction:
 
 def odd_knuth_lhs(n: int) -> Fraction:
     """sum_{k=0}^n (-1/4)^k C(n,k) C(2k,k) O_k over exact rationals."""
-    total = Fraction(0)
-    for k in range(n + 1):
+
+    def term(k: int) -> tuple[int, int]:
         o = odd_harmonic(k)
-        if o:
-            total += Fraction((-1) ** k * math.comb(n, k) * math.comb(2 * k, k), 4**k) * o
-    return total
+        return (-1) ** k * math.comb(n, k) * math.comb(2 * k, k) * o.numerator, 4**k * o.denominator
+
+    return exact_sum(term(k) for k in range(n + 1))
 
 
 def odd_knuth_rhs(n: int) -> Fraction:

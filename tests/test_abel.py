@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from knuthsums import abel
 from knuthsums.catalog import DEFAULT_ELL_GRID
+from knuthsums.core import gbinom
 
 rational = st.builds(
     F, st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=9)
@@ -109,6 +110,35 @@ def test_abel1_grid_sweep():
         for ell in DEFAULT_ELL_GRID:
             if abel.abel1_valid(n, ell):
                 assert abel.abel1_lhs(n, ell) == abel.abel1_rhs(n, ell)
+
+
+def test_abel1_lhs_equals_per_term_fraction_sum():
+    for n in range(41):
+        for ell in DEFAULT_ELL_GRID:
+            if abel.abel1_valid(n, ell):
+                literal = sum(
+                    F(-1, 2) ** k
+                    * gbinom(n + ell, n - k)  # choose(n+l, k+l)
+                    * gbinom(2 * k + 2 * ell, k)
+                    * k
+                    * (n - k)
+                    / (k + 2 * ell + 1)
+                    for k in range(n + 1)
+                )
+                assert abel.abel1_lhs(n, ell) == literal, (n, ell)
+
+
+def test_abel2_lhs_equals_per_term_fraction_sum():
+    for n in range(41):
+        literal = sum(
+            F((-1) ** k * math.comb(2 * k, k) * math.comb(n, k), 2**k)
+            * (2 * k + 1)
+            * (k * k + 3 * k + 3)
+            * (n - k)
+            / ((k + 1) ** 2 * (k + 2) * (k + 3))
+            for k in range(n + 1)
+        )
+        assert abel.abel2_lhs(n) == literal
 
 
 def test_abel2_values():

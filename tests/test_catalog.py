@@ -1,6 +1,7 @@
 """Identity registry: frozen example values, validity routing, and the
 cross-identity structural properties (reindexing, specialization, parity)."""
 
+import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
@@ -176,6 +177,32 @@ def test_gf_polynomial_lhs_equals_per_term_fraction_sum(n, x):
     assert catalog.gfpoly_lhs(n, x) == literal
 
 
+def test_harmonic_sum_lhs_equal_per_term_fraction_sums():
+    # each exact_sum LHS against its literal summand, one Fraction per term
+    for n in range(41):
+        assert catalog.hkmix_lhs(n) == sum(
+            F((-1) ** k * math.comb(2 * k, k) * math.comb(2 * n, k), 2**k)
+            * (3 * harmonic(k) - 2 * harmonic(2 * k))
+            for k in range(2 * n + 1)
+        )
+        assert catalog.oddh_corollary_lhs(n) == sum(
+            F((-2) ** k * math.comb(n, k), k + 1) * harmonic(k) for k in range(n + 1)
+        )
+        assert catalog.intermediate_lhs(n) == sum(
+            F((-2) ** k * math.comb(2 * n + 1, k), k + 1) * harmonic(k)
+            for k in range(2 * n + 1)
+        )
+        assert catalog.tauraso_lhs(n) == sum(
+            (-1) ** k
+            * math.comb(2 * n, k)
+            * math.comb(2 * n + k, k)
+            * math.comb(2 * k, k)
+            * 4 ** (2 * n - k)
+            * harmonic(k)
+            for k in range(2 * n + 1)
+        )
+
+
 def test_prop2_lhs_raises_where_the_reflected_binomial_vanishes():
     # validity excludes this case, so no verify() run reaches the raise
     assert not REGISTRY["prop2-general-ell"].validity(n=3, ell=F(-2))
@@ -327,6 +354,37 @@ def test_run_sweep_fail_fast_prefix_independent_of_jobs(monkeypatch):
     assert [r.status for r in serial].count("fail") == 1
     for _ in range(3):
         assert strip(run_sweep(names, 30, jobs=2, fail_fast=True)) == strip(serial)
+
+
+def test_run_sweep_asks_for_no_more_workers_than_cases(monkeypatch):
+    # a stand-in executor that records its size and runs the cases in
+    # this process, so no worker is ever started
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    def lhs_values(n_max, jobs):
+        return [r.lhs for r in run_sweep(["knuth-old-sum"], n_max, jobs=jobs)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    assert lhs_values(3, jobs=64) == lhs_values(3, jobs=1)
+    assert sizes == [4]  # four cases, n = 0..3
+    assert lhs_values(0, jobs=64) == [1]
+    assert sizes == [4]  # one case runs serially: no executor at all
 
 
 def test_run_sweep_rejects_unknown_names():

@@ -1,6 +1,6 @@
-"""Primitive arithmetic: Pochhammer, generalized binomials, the integer
-numerators of their rows and the summand kernels built from them,
-harmonic numbers."""
+"""Primitive arithmetic: the exact-sum kernel, Pochhammer, generalized
+binomials, the integer numerators of their rows and the summand kernels
+built from them, harmonic numbers."""
 
 import math
 import re
@@ -15,6 +15,36 @@ from knuthsums import core
 rationals = st.builds(
     F, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=12)
 )
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-10**6, max_value=10**6),
+            st.one_of(
+                st.sampled_from([1, 2, 3, 4, 6, 12]),  # repeated, shared factors
+                st.sampled_from([5, 7, 11, 13]),  # pairwise coprime
+                st.integers(min_value=-10**4, max_value=10**4).filter(bool),
+            ),
+        ),
+        max_size=25,
+    )
+)
+@example([])
+@example([(0, 3), (0, 7)])
+@example([(1, 2), (1, 2), (-1, 2), (-1, 2)])
+@example([(1, 2), (1, 3), (1, 5), (-1, 7)])
+@example([(5, -3), (0, 4), (-2, 9)])
+def test_exact_sum_equals_per_term_fraction_sum(terms):
+    total = core.exact_sum(terms)
+    assert type(total) is F
+    assert total == sum((F(num, den) for num, den in terms), F(0))
+
+
+def test_exact_sum_takes_a_generator_and_rejects_a_zero_denominator():
+    assert core.exact_sum((k, k + 1) for k in range(4)) == F(1, 2) + F(2, 3) + F(3, 4)
+    with pytest.raises(ZeroDivisionError):
+        core.exact_sum([(1, 2), (1, 0)])
 
 
 def test_pochhammer_values():

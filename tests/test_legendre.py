@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from knuthsums import legendre
+from knuthsums.core import odd_harmonic
 from knuthsums.gammaprod import Finite, Zero
 
 
@@ -71,6 +72,31 @@ def test_moment_oracle_agreement():
                 assert isinstance(gamma_route, Finite)
                 assert gamma_route.s == 0
                 assert gamma_route.q == expansion
+
+
+def test_moment_by_expansion_equals_per_term_fraction_sum():
+    ps = sorted({F(k, d) for d in (2, 3) for k in range(-2, 13) if F(k, d) > -1})
+    for n in range(41):
+        coeffs = legendre.shifted_legendre(n).coeffs
+        for p in ps:
+            literal = sum(F(c) / (p + j + 1) for j, c in enumerate(coeffs))
+            assert legendre.moment_by_expansion(p, n) == literal, (p, n)
+
+
+def test_log_moment_lhs_equals_per_term_fraction_sum():
+    for n in range(41):
+        coeffs = legendre.shifted_legendre(n).coeffs
+        literal = sum(F(-4 * c, (2 * j + 1) ** 2) for j, c in enumerate(coeffs))
+        assert legendre.log_moment_sqrt_lhs(n) == literal
+
+
+def test_odd_knuth_lhs_equals_per_term_fraction_sum():
+    for n in range(41):
+        literal = sum(
+            F((-1) ** k * math.comb(n, k) * math.comb(2 * k, k), 4**k) * odd_harmonic(k)
+            for k in range(n + 1)
+        )
+        assert legendre.odd_knuth_lhs(n) == literal
 
 
 def test_log_moment_values():
