@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import gammaprod
 from .core import exact_sum, harmonic, odd_harmonic
@@ -36,8 +37,14 @@ class ShiftedLegendre:
         return self.coeffs[0]
 
 
+@lru_cache(maxsize=64)
 def shifted_legendre(n: int) -> ShiftedLegendre:
-    """Expand sum_k C(n,k)^2 (x-1)^(n-k) x^k into monomial coefficients."""
+    """Expand sum_k C(n,k)^2 (x-1)^(n-k) x^k into monomial coefficients.
+
+    The expansion costs O(n^2) big-integer products and is immutable, so
+    the 64 most recent degrees are kept: a moment grid reads the same n
+    for every p.
+    """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     coeffs = [0] * (n + 1)

@@ -16,14 +16,19 @@ the factor 1/Gamma(2n-k+1) inside F cancels through
 
     (k-2n-1)(k-2n-2) Gamma(2n-k+1) = Gamma(2n-k+3).
 
-Every pair is built by `_pair` from one spec.  Its F is a registered
-identity's own summand at index 2n (the integer term row of
-`core.prop1_terms` or `core.prop2_terms`), times a normalisation free of
-k; its R carries the certificate numerator.  Its companion G is R * F, by
-`naive_companion`, wherever R is finite, and is hand-derived only at the
-two boundary points k = 2n+1, 2n+2, where it is that cancelled limit; so
-the pair equation can be verified at every grid point, boundary included.
-Evaluating a bare certificate where its denominator vanishes (and
+Every pair is built by `_pair` from one spec, and everything it evaluates
+is read from one integer row bundle per (pair, n, l), cached in `_rows`:
+row n of F (a registered identity's own summand at index 2n, the integer
+term row of `core.prop1_terms` or `core.prop2_terms`, times a
+normalisation free of k) over one denominator, and row n of G over
+k = 0..2n+2 over another.  G is R * F on the support, where R is finite,
+and the hand-derived cancelled limit at the two boundary points, so the
+pair equation can be verified at every grid point, boundary included.
+`row_sum` adds F's integer row; `residual_grid` scales the rows of n and
+n+1 to one denominator and tests each k as an integer.  At a nonzero
+residual, or where G has a boundary pole, it hands that k to the
+pointwise `wz_residual`, so what it reports is the pointwise value or
+error.  Evaluating a bare certificate where its denominator vanishes (and
 nothing cancels) raises CertificateDenominatorZero, which callers report
 separately from a nonzero residual.
 """
@@ -34,35 +39,38 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .core import CertificateDenominatorZero, gbinom, prop1_terms, prop2_terms
+
+
+class Rows(NamedTuple):
+    """Row n of a pair at one shift l, in integers: F(n, k) = f[k] / f_den
+    for k = 0..2n, and G(n, k) = g[k] / g_den for k = 0..2n+2 except at a
+    boundary pole, where g holds 0 and `poles` maps k to the reason."""
+
+    f: tuple[int, ...]
+    f_den: int
+    g: tuple[int, ...]
+    g_den: int
+    poles: Mapping[int, str]
 
 
 @dataclass(frozen=True)
 class WZPair:
     """Summand F (supported on k = 0..2n), certificate R, companion
-    G = R*F (its boundary limits taken), and the parameter domain where
-    everything is defined."""
+    G = R*F (its boundary limits taken), the parameter domain where
+    everything is defined, and the cached row bundle F and G are read
+    from.  A pair built by hand has no bundle of its own; `residual_grid`
+    and `row_sum` read its rows from F and G point by point."""
 
     name: str
     F: Callable[[int, int, Fraction], Fraction]
     R: Callable[[int, int, Fraction], Fraction]
     G: Callable[[int, int, Fraction], Fraction]
     defined: Callable[[int, Fraction], bool]
-
-
-@lru_cache(maxsize=4)
-def _summand_row(terms: Callable, norm: Callable, n: int, ell: Fraction) -> tuple[Fraction, ...]:
-    """F(n, k) for k = 0..2n: the registered summand's terms at index 2n,
-    times norm(n, l).
-
-    A residual check at n reads rows n and n+1 and the row sum row n, so
-    a sweep along n keeps hitting a handful of rows.
-    """
-    nums, den = terms(2 * n, ell)
-    scale = norm(n, ell) / den
-    return tuple(t * scale for t in nums)
+    rows: Callable[[int, Fraction], Rows] | None = None
 
 
 def naive_companion(
@@ -83,6 +91,58 @@ def naive_companion(
     return g
 
 
+def _numerator(k: int, ell: Fraction, offset: int) -> Fraction:
+    """-k(k+offset+2l), the certificate numerator."""
+    return Fraction(-k) * ((k + offset) + 2 * ell)
+
+
+@lru_cache(maxsize=4)
+def _rows(
+    terms: Callable[[int, Fraction], tuple[list[int], int]],
+    rest: Callable[[int, Fraction], Fraction],
+    shift: Callable[[Fraction], Fraction],
+    norm: Callable[[int, Fraction], Fraction],
+    offset: int,
+    n: int,
+    ell: Fraction,
+) -> Rows:
+    """The row bundle of the pair `_pair` builds from this spec, at (n, l).
+
+    With l = a/b, G(n, k) = -k((k+offset)b+2a) F(n, k) / (b j(j+1)) on the
+    support, j = 2n+1-k.  j and j+1 are coprime and at most 2n+2, so
+    j(j+1) divides lcm(1..2n+2), and f_den b lcm(1..2n+2) is a common
+    denominator of G's support row; the two boundary limits join it
+    through one more lcm.  A residual check at n reads rows n and n+1 and the row sum row
+    n, so a sweep along n keeps hitting a handful of bundles.
+    """
+    nums, den = terms(2 * n, ell)
+    scale = norm(n, ell)
+    f = tuple(t * scale.numerator for t in nums)
+    f_den = den * scale.denominator
+    a, b = ell.numerator, ell.denominator
+    lcm = math.lcm(*range(1, 2 * n + 3))
+    g = [
+        -k * ((k + offset) * b + 2 * a) * f[k] * (lcm // ((2 * n + 1 - k) * (2 * n + 2 - k)))
+        for k in range(2 * n + 1)
+    ]
+    g_den = f_den * b * lcm
+    s = shift(ell)
+    poles: dict[int, str] = {}
+    limits = []
+    for k in (2 * n + 1, 2 * n + 2):
+        factors = [top + s for top in range(2 * n + 1, k + 1)]
+        if 0 in factors:
+            top = 2 * n + 1 + factors.index(0)
+            poles[k] = f"Gamma ratio factor {top}+l vanishes at k={k}, l={s}"
+            limits.append(Fraction(0))
+        else:
+            limits.append(_numerator(k, ell, offset) * rest(k, ell) * scale / math.prod(factors))
+    common = math.lcm(g_den, *(v.denominator for v in limits))
+    g = [x * (common // g_den) for x in g] + [v.numerator * (common // v.denominator) for v in limits]
+    # the bundle is shared by every caller of the cache, so it is read-only
+    return Rows(f, f_den, tuple(g), common, MappingProxyType(poles))
+
+
 def _pair(
     name: str,
     terms: Callable[[int, Fraction], tuple[list[int], int]],
@@ -100,44 +160,43 @@ def _pair(
 
     The k-th term is rest(k, l), the factors free of n, times the row
     entry choose(2n+s, 2n-k) = Gamma(2n+s+1) / (Gamma(k+s+1) Gamma(2n-k+1))
-    with s = shift(l).  G is `naive_companion(F, R)`, that is R * F, at
-    every k except k = 2n+1, 2n+2.  There R has its pole and F its zero,
-    and G is the limit, with the row entry continued past the support:
+    with s = shift(l).  G is R * F (`naive_companion(F, R)`) at every k
+    except k = 2n+1, 2n+2.  There R has its pole and F its zero, and G is
+    the limit, with the row entry continued past the support:
 
         G(n,k) = -k(k+offset+2l) rest(k, l) norm(n, l)
                  / prod_{t=2n+1}^{k} (t+s)
 
-    A vanishing factor of that product raises CertificateDenominatorZero.
-    F lives on k = 0..2n and G on k = 1..2n+2.
+    A vanishing factor of that product is a pole: G raises
+    CertificateDenominatorZero there.  F lives on k = 0..2n and G on
+    k = 1..2n+2.  F and G read row n from the bundle `_rows` caches for
+    (n, l) and build one Fraction per call.
     """
 
-    def numerator(k: int, ell: Fraction) -> Fraction:
-        return Fraction(-k) * ((k + offset) + 2 * ell)
+    def rows(n: int, ell: Fraction) -> Rows:
+        return _rows(terms, rest, shift, norm, offset, n, ell)
 
     def F(n: int, k: int, ell: Fraction) -> Fraction:
         if k < 0 or k > 2 * n:
             return Fraction(0)
-        return _summand_row(terms, norm, n, ell)[k]
+        row = rows(n, ell)
+        return Fraction(row.f[k], row.f_den)
 
     def R(n: int, k: int, ell: Fraction) -> Fraction:
         den = (k - 2 * n - 1) * (k - 2 * n - 2)
         if den == 0:
             raise CertificateDenominatorZero(f"certificate denominator vanishes at n={n}, k={k}")
-        return numerator(k, ell) / den
-
-    companion = naive_companion(F, R)
+        return _numerator(k, ell, offset) / den
 
     def G(n: int, k: int, ell: Fraction) -> Fraction:
-        if k not in (2 * n + 1, 2 * n + 2):
-            return companion(n, k, ell)
-        s = shift(ell)
-        factors = [top + s for top in range(2 * n + 1, k + 1)]
-        if 0 in factors:
-            top = 2 * n + 1 + factors.index(0)
-            raise CertificateDenominatorZero(f"Gamma ratio factor {top}+l vanishes at k={k}, l={s}")
-        return numerator(k, ell) * rest(k, ell) * norm(n, ell) / math.prod(factors)
+        if k < 0 or k > 2 * n + 2:
+            return Fraction(0)
+        row = rows(n, ell)
+        if k in row.poles:
+            raise CertificateDenominatorZero(row.poles[k])
+        return Fraction(row.g[k], row.g_den)
 
-    return WZPair(name, F, R, G, defined)
+    return WZPair(name, F, R, G, defined, rows)
 
 
 def _head(k: int, ell: Fraction) -> Fraction:
@@ -198,14 +257,41 @@ def certificates() -> dict[str, WZPair]:
     return {p.name: p for p in pairs}
 
 
+def _undefined(pair: WZPair, n: int, ell: Fraction) -> CertificateDenominatorZero:
+    return CertificateDenominatorZero(f"pair {pair.name} undefined at n={n}, l={ell}")
+
+
+def _bundle(pair: WZPair, n: int, ell: Fraction) -> Rows:
+    """Row n of `pair` at l: its own cached bundle, or, for a pair built
+    by hand, one read from its F and G point by point."""
+    if pair.rows is not None:
+        return pair.rows(n, ell)
+    f = [pair.F(n, k, ell) for k in range(2 * n + 1)]
+    g: list[Fraction] = []
+    poles: dict[int, str] = {}
+    for k in range(2 * n + 3):
+        try:
+            g.append(pair.G(n, k, ell))
+        except CertificateDenominatorZero as err:
+            poles[k] = str(err)
+            g.append(Fraction(0))
+    f_den = math.lcm(*(v.denominator for v in f))
+    g_den = math.lcm(*(v.denominator for v in g))
+    return Rows(
+        tuple(v.numerator * (f_den // v.denominator) for v in f),
+        f_den,
+        tuple(v.numerator * (g_den // v.denominator) for v in g),
+        g_den,
+        poles,
+    )
+
+
 def wz_residual(pair: WZPair, n: int, k: int, ell: Fraction | int) -> Fraction:
     """F(n+1,k) - F(n,k) - G(n,k+1) + G(n,k); zero iff the pair equation
     holds at this point."""
     ell = Fraction(ell)
     if not (pair.defined(n, ell) and pair.defined(n + 1, ell)):
-        raise CertificateDenominatorZero(
-            f"pair {pair.name} undefined at n={n}, l={ell}"
-        )
+        raise _undefined(pair, n, ell)
     return (
         pair.F(n + 1, k, ell)
         - pair.F(n, k, ell)
@@ -216,11 +302,25 @@ def wz_residual(pair: WZPair, n: int, k: int, ell: Fraction | int) -> Fraction:
 
 def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
     """The first nonzero residual over the widened range k = -1..2n+3, or 0
-    when the pair equation holds at every point of it."""
-    for k in range(-1, 2 * n + 4):
-        r = wz_residual(pair, n, k, ell)
-        if r != 0:
-            return r
+    when the pair equation holds at every point of it.
+
+    Rows n and n+1 of F and row n of G are scaled to one denominator and
+    every k is tested as an integer; the first k that is nonzero, or
+    reads a boundary pole of G, is evaluated by `wz_residual`, which
+    returns that residual or raises that pole.
+    """
+    ell = Fraction(ell)
+    if not (pair.defined(n, ell) and pair.defined(n + 1, ell)):
+        raise _undefined(pair, n, ell)
+    lo, hi = _bundle(pair, n, ell), _bundle(pair, n + 1, ell)
+    common = math.lcm(lo.f_den, hi.f_den, lo.g_den)
+    # each list is indexed by k + 1, for k = -1..2n+3 (G also at 2n+4)
+    f1 = [0, *(x * (common // hi.f_den) for x in hi.f), 0]
+    f0 = [0, *(x * (common // lo.f_den) for x in lo.f), 0, 0, 0]
+    g = [0, *(x * (common // lo.g_den) for x in lo.g), 0, 0]
+    for k, (a, b, c, d) in enumerate(zip(f1, f0, g[1:], g), start=-1):
+        if a - b - c + d or k in lo.poles or k + 1 in lo.poles:
+            return wz_residual(pair, n, k, ell)
     return Fraction(0)
 
 
@@ -228,10 +328,9 @@ def row_sum(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
     """sum_k F(n, k) over row n's support k = 0..2n; 1 for a verified pair."""
     ell = Fraction(ell)
     if not pair.defined(n, ell):
-        raise CertificateDenominatorZero(
-            f"pair {pair.name} undefined at n={n}, l={ell}"
-        )
-    return sum((pair.F(n, k, ell) for k in range(2 * n + 1)), Fraction(0))
+        raise _undefined(pair, n, ell)
+    row = _bundle(pair, n, ell)
+    return Fraction(sum(row.f), row.f_den)
 
 
 def wz_sum_constant(pair: WZPair, n_max: int, ell: Fraction | int) -> list[Fraction]:

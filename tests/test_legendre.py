@@ -26,6 +26,14 @@ def test_coefficient_closed_form():
             assert c == (-1) ** (n - j) * math.comb(n, j) * math.comb(n + j, j)
 
 
+def test_cached_expansion_equals_fresh_expansion():
+    expand = legendre.shifted_legendre.__wrapped__
+    for n in range(41):
+        assert legendre.shifted_legendre(n) == expand(n)
+        assert legendre.shifted_legendre(n) is legendre.shifted_legendre(n)
+    assert legendre.shifted_legendre.cache_info().maxsize is not None
+
+
 def test_endpoint_values():
     for n in range(51):
         poly = legendre.shifted_legendre(n)

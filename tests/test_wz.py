@@ -1,16 +1,20 @@
 """WZ certificate checks: pair equation on the widened grid, telescoped row
 sums, boundary conventions, and the negative controls."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knuthsums import wz
 from knuthsums.catalog import DEFAULT_ELL_GRID
 from knuthsums.core import gbinom
 
 PAIRS = wz.certificates()
+BOUNDARY_SHIFTS = (F(0), F(1, 2), F(-1, 3), F(7, 5), F(-5, 2))
 
 
 def test_registered_names():
@@ -34,7 +38,7 @@ def test_companion_is_certificate_times_summand():
     points = 0
     for name, (shift, offset, norm) in specs.items():
         pair = PAIRS[name]
-        for ell in (F(0), F(1, 2), F(-1, 3), F(7, 5), F(-5, 2)):
+        for ell in BOUNDARY_SHIFTS:
             s = shift(ell)
             for n in range(6):
                 if not pair.defined(n, ell):
@@ -192,3 +196,93 @@ def test_naive_companion_raises_where_denominator_hits_support():
     with pytest.raises(wz.CertificateDenominatorZero):
         g(2, 1, F(0))
     assert g(0, 1, F(0)) == 0  # outside support F = 0, R never consulted
+
+
+def test_row_bundle_matches_per_term_formula():
+    # F straight from its gbinom product, with choose(2n+l, k+l) = C(2n+l, 2n-k);
+    # G against R * F on the support; the row sum against the literal sum
+    summands = {
+        "prop1": lambda n, k, ell: (
+            F(-1, 2) ** k * gbinom(2 * n + ell, 2 * n - k) * gbinom(2 * k + 2 * ell, k)
+            * 4**n / gbinom(2 * n + ell, n)
+        ),
+        "prop2": lambda n, k, ell: (
+            F(-1, 2) ** k * math.comb(2 * n, k) * gbinom(2 * k + 2 * ell, k) * 4**n
+            * gbinom(n + ell, n) / (gbinom(k + ell, k) * math.comb(2 * n, n))
+        ),
+        "negative-control": lambda n, k, ell: (
+            F(-1, 2) ** k * gbinom(2 * n + ell, 2 * n - k) * gbinom(2 * k + 2 * ell, k) * 4**n
+        ),
+    }
+    points = 0
+    for name, summand in summands.items():
+        pair = PAIRS[name]
+        companion = wz.naive_companion(pair.F, pair.R)
+        for ell in BOUNDARY_SHIFTS:
+            for n in range(9):
+                assert pair.defined(n, ell)
+                terms = [summand(n, k, ell) for k in range(2 * n + 1)]
+                for k, term in enumerate(terms):
+                    assert pair.F(n, k, ell) == term, (name, n, k, ell)
+                    assert pair.G(n, k, ell) == companion(n, k, ell), (name, n, k, ell)
+                    points += 1
+                assert wz.row_sum(pair, n, ell) == sum(terms, F(0)), (name, n, ell)
+    assert points == 3 * 5 * 81
+
+
+def _pointwise_grid(pair, n, ell):
+    """The first nonzero residual over k = -1..2n+3 and its k, or (0, None)."""
+    for k in range(-1, 2 * n + 4):
+        r = wz.wz_residual(pair, n, k, ell)
+        if r != 0:
+            return r, k
+    return F(0), None
+
+
+# a copy of prop1 without its row bundle: its rows are read through F and G
+BY_HAND = dataclasses.replace(PAIRS["prop1"], name="prop1-by-hand", rows=None)
+SHIFTS = st.one_of(
+    st.integers(min_value=-12, max_value=3).map(F),
+    st.integers(min_value=-25, max_value=7).map(lambda i: F(2 * i + 1, 2)),
+    st.fractions(min_value=-12, max_value=4, max_denominator=9),
+)
+
+
+def _assert_grid_is_pointwise(pair, n, ell, calls=None):
+    """residual_grid agrees with the pointwise loop; with `calls` (the k of
+    each wz_residual call) it also evaluated at most the reported point."""
+    try:
+        expected, first = _pointwise_grid(pair, n, ell)
+    except wz.CertificateDenominatorZero as err:
+        with pytest.raises(wz.CertificateDenominatorZero) as got:
+            wz.residual_grid(pair, n, ell)
+        assert str(got.value) == str(err), (pair.name, n, ell)
+        return
+    if calls is not None:
+        calls.clear()
+    assert wz.residual_grid(pair, n, ell) == expected, (pair.name, n, ell)
+    if calls is not None:
+        # the rows alone settle every zero point
+        assert calls == ([] if first is None else [first]), (pair.name, n, ell)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([*PAIRS.values(), BY_HAND]), st.integers(min_value=0, max_value=8), SHIFTS)
+def test_residual_grid_equals_pointwise_loop(pair, n, ell):
+    _assert_grid_is_pointwise(pair, n, ell)
+
+
+def test_residual_grid_equals_pointwise_loop_at_every_integer_shift(monkeypatch):
+    # integer shifts are where rows go undefined and G has boundary poles
+    calls = []
+    pointwise = wz.wz_residual
+
+    def counted(pair, n, k, ell):
+        calls.append(k)
+        return pointwise(pair, n, k, ell)
+
+    monkeypatch.setattr(wz, "wz_residual", counted)
+    for pair in [*PAIRS.values(), BY_HAND]:
+        for n in range(9):
+            for ell in range(-12, 4):
+                _assert_grid_is_pointwise(pair, n, F(ell), calls)
