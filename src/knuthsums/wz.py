@@ -16,21 +16,18 @@ the factor 1/Gamma(2n-k+1) inside F cancels through
 
     (k-2n-1)(k-2n-2) Gamma(2n-k+1) = Gamma(2n-k+3).
 
-Every pair is built by `_pair` from one spec, and everything it evaluates
-is read from one integer row bundle per (pair, n, l), cached in `_rows`:
-row n of F (a registered identity's own summand at index 2n, the integer
-term row of `core.prop1_terms` or `core.prop2_terms`, times a
-normalisation free of k) over one denominator, and row n of G over
-k = 0..2n+2 over another.  G is R * F on the support, where R is finite,
-and the hand-derived cancelled limit at the two boundary points, so the
-pair equation can be verified at every grid point, boundary included.
-`row_sum` adds F's integer row; `residual_grid` scales the rows of n and
-n+1 to one denominator and tests each k as an integer.  At a nonzero
-residual, or where G has a boundary pole, it hands that k to the
-pointwise `wz_residual`, so what it reports is the pointwise value or
-error.  Evaluating a bare certificate where its denominator vanishes (and
-nothing cancels) raises CertificateDenominatorZero, which callers report
-separately from a nonzero residual.
+Every pair is built by `_pair` from one spec and reads everything from
+one integer row bundle per (pair, n, l), cached by `_rows`: row n of F (a
+registered identity's own summand at index 2n, from `core.prop1_terms` or
+`core.prop2_terms`, times a normalisation free of k) and row n of G over
+k = 0..2n+2, each over one denominator.  G is R * F where R is finite and
+the cancelled limit at the two boundary points, so the pair equation can
+be verified at every grid point, boundary included.  `residual_grid`
+tests each k of the rows as an integer and hands a nonzero k, or one that
+reads a boundary pole of G, to the pointwise `wz_residual`.  Evaluating a
+bare certificate where its denominator vanishes (and nothing cancels)
+raises CertificateDenominatorZero, which callers report separately from a
+nonzero residual.
 """
 
 from __future__ import annotations
@@ -61,16 +58,16 @@ class Rows(NamedTuple):
 class WZPair:
     """Summand F (supported on k = 0..2n), certificate R, companion
     G = R*F (its boundary limits taken), the parameter domain where
-    everything is defined, and the cached row bundle F and G are read
-    from.  A pair built by hand has no bundle of its own; `residual_grid`
-    and `row_sum` read its rows from F and G point by point."""
+    everything is defined, and the row bundle `rows(n, l)` that F and G
+    are read from.  F, G and rows are evaluated only where defined(n, l)
+    holds; outside it they may raise any error."""
 
     name: str
     F: Callable[[int, int, Fraction], Fraction]
     R: Callable[[int, int, Fraction], Fraction]
     G: Callable[[int, int, Fraction], Fraction]
     defined: Callable[[int, Fraction], bool]
-    rows: Callable[[int, Fraction], Rows] | None = None
+    rows: Callable[[int, Fraction], Rows]
 
 
 def naive_companion(
@@ -112,8 +109,9 @@ def _rows(
     support, j = 2n+1-k.  j and j+1 are coprime and at most 2n+2, so
     j(j+1) divides lcm(1..2n+2), and f_den b lcm(1..2n+2) is a common
     denominator of G's support row; the two boundary limits join it
-    through one more lcm.  A residual check at n reads rows n and n+1 and the row sum row
-    n, so a sweep along n keeps hitting a handful of bundles.
+    through one more lcm.  A residual check at n reads rows n and n+1 and
+    the row sum row n, so a sweep along n keeps hitting a handful of
+    bundles.
     """
     nums, den = terms(2 * n, ell)
     scale = norm(n, ell)
@@ -170,7 +168,8 @@ def _pair(
     A vanishing factor of that product is a pole: G raises
     CertificateDenominatorZero there.  F lives on k = 0..2n and G on
     k = 1..2n+2.  F and G read row n from the bundle `_rows` caches for
-    (n, l) and build one Fraction per call.
+    (n, l), boundary limits included, and build one Fraction per call, so
+    like the bundle they are evaluated only where defined(n, l) holds.
     """
 
     def rows(n: int, ell: Fraction) -> Rows:
@@ -261,31 +260,6 @@ def _undefined(pair: WZPair, n: int, ell: Fraction) -> CertificateDenominatorZer
     return CertificateDenominatorZero(f"pair {pair.name} undefined at n={n}, l={ell}")
 
 
-def _bundle(pair: WZPair, n: int, ell: Fraction) -> Rows:
-    """Row n of `pair` at l: its own cached bundle, or, for a pair built
-    by hand, one read from its F and G point by point."""
-    if pair.rows is not None:
-        return pair.rows(n, ell)
-    f = [pair.F(n, k, ell) for k in range(2 * n + 1)]
-    g: list[Fraction] = []
-    poles: dict[int, str] = {}
-    for k in range(2 * n + 3):
-        try:
-            g.append(pair.G(n, k, ell))
-        except CertificateDenominatorZero as err:
-            poles[k] = str(err)
-            g.append(Fraction(0))
-    f_den = math.lcm(*(v.denominator for v in f))
-    g_den = math.lcm(*(v.denominator for v in g))
-    return Rows(
-        tuple(v.numerator * (f_den // v.denominator) for v in f),
-        f_den,
-        tuple(v.numerator * (g_den // v.denominator) for v in g),
-        g_den,
-        poles,
-    )
-
-
 def wz_residual(pair: WZPair, n: int, k: int, ell: Fraction | int) -> Fraction:
     """F(n+1,k) - F(n,k) - G(n,k+1) + G(n,k); zero iff the pair equation
     holds at this point."""
@@ -312,7 +286,7 @@ def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
     ell = Fraction(ell)
     if not (pair.defined(n, ell) and pair.defined(n + 1, ell)):
         raise _undefined(pair, n, ell)
-    lo, hi = _bundle(pair, n, ell), _bundle(pair, n + 1, ell)
+    lo, hi = pair.rows(n, ell), pair.rows(n + 1, ell)
     common = math.lcm(lo.f_den, hi.f_den, lo.g_den)
     # each list is indexed by k + 1, for k = -1..2n+3 (G also at 2n+4)
     f1 = [0, *(x * (common // hi.f_den) for x in hi.f), 0]
@@ -329,7 +303,7 @@ def row_sum(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
     ell = Fraction(ell)
     if not pair.defined(n, ell):
         raise _undefined(pair, n, ell)
-    row = _bundle(pair, n, ell)
+    row = pair.rows(n, ell)
     return Fraction(sum(row.f), row.f_den)
 
 

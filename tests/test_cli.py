@@ -208,10 +208,10 @@ def test_wz_fail_fast_stops_early(capsys):
 
 
 def test_wz_rows_report_evaluator_errors():
-    def broken(n, k, ell):
+    def broken(*args):
         raise ValueError("synthetic failure")
 
-    pair = wz.WZPair("broken", broken, broken, broken, lambda n, ell: True)
+    pair = wz.WZPair("broken", broken, broken, broken, lambda n, ell: True, broken)
     rows = cli._wz_rows(cli._wz_checks(pair), 1, F(1, 2))
     assert [(r.identity, r.status) for r in rows] == [
         ("wz-broken-residual", "fail"),
