@@ -47,15 +47,18 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as `p` or `p/q`, the inverse of parse_rational."""
-    q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def as_rational(x) -> Fraction | int:
+    """x itself when it is already an int or a Fraction, else Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def is_nonpositive_integer(x: Fraction | int) -> bool:
-    q = Fraction(x)
-    return q.denominator == 1 and q.numerator <= 0
+    return x.denominator == 1 and x.numerator <= 0
 
 
 def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:

@@ -20,10 +20,10 @@ for odd upper index).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import is_nonpositive_integer, pochhammer
+from .core import as_rational, is_nonpositive_integer, pochhammer
 
 
 @dataclass(frozen=True)
@@ -33,31 +33,33 @@ class HyperSeries:
     At least one upper parameter must be a nonpositive integer (the
     termination witness); no lower parameter may be a nonpositive integer
     >= -N where N is the termination index, since its Pochhammer would
-    vanish inside the summation range.
+    vanish inside the summation range.  Parameters given as int or
+    Fraction are stored as they are, so a series built from ints equals
+    (and hashes like) the same series built from Fractions.
     """
 
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    argument: Fraction
+    upper: tuple[Fraction | int, ...]
+    lower: tuple[Fraction | int, ...]
+    argument: Fraction | int
+    # Smallest N with (-N) among the upper parameters; the sum stops at k = N.
+    termination_index: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, upper, lower, argument) -> None:
-        object.__setattr__(self, "upper", tuple(Fraction(u) for u in upper))
-        object.__setattr__(self, "lower", tuple(Fraction(l) for l in lower))
-        object.__setattr__(self, "argument", Fraction(argument))
-        witnesses = [-int(u) for u in self.upper if is_nonpositive_integer(u)]
+        upper = tuple(as_rational(u) for u in upper)
+        lower = tuple(as_rational(l) for l in lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "argument", as_rational(argument))
+        witnesses = [-u.numerator for u in upper if is_nonpositive_integer(u)]
         if not witnesses:
             raise ValueError("series does not terminate: no nonpositive integer upper parameter")
         n = min(witnesses)
-        for b in self.lower:
-            if is_nonpositive_integer(b) and -int(b) <= n:
+        for b in lower:
+            if is_nonpositive_integer(b) and -b.numerator <= n:
                 raise ValueError(
                     f"lower parameter {b} makes a denominator Pochhammer vanish within range"
                 )
-
-    @property
-    def termination_index(self) -> int:
-        """Smallest N with (-N) among the upper parameters; the sum stops at k = N."""
-        return min(-int(u) for u in self.upper if is_nonpositive_integer(u))
+        object.__setattr__(self, "termination_index", n)
 
 
 def eval_terminating(series: HyperSeries) -> Fraction:
@@ -66,11 +68,12 @@ def eval_terminating(series: HyperSeries) -> Fraction:
     The k-th term is the (k-1)-th times the term ratio
     r_k = prod(u+k-1) / prod(l+k-1) * z / k.  With each parameter written
     p/q, r_k is the integer z_num * prod_lower q * prod_upper (p+(k-1)q)
-    over the integer z_den * k * prod_upper q * prod_lower (p+(k-1)q).
-    The sum 1 + r_1 (1 + r_2 (1 + ... (1 + r_N))) is accumulated by
-    Horner's rule from k = N down to 1 as one integer numerator over one
-    integer denominator, and reduced once at the end.  No lower factor
-    l+k-1 vanishes for k <= N: HyperSeries rejects every such l.
+    over the integer z_den * k * prod_upper q * prod_lower (p+(k-1)q),
+    each product multiplied out in a plain loop.  The sum
+    1 + r_1 (1 + r_2 (1 + ... (1 + r_N))) is accumulated by Horner's rule
+    from k = N down to 1 as one integer numerator a over one integer
+    denominator b, and a single `Fraction` is built at the end.  No lower
+    factor l+k-1 vanishes for k <= N: HyperSeries rejects every such l.
     """
     upper = [(u.numerator, u.denominator) for u in series.upper]
     lower = [(l.numerator, l.denominator) for l in series.lower]
@@ -79,8 +82,12 @@ def eval_terminating(series: HyperSeries) -> Fraction:
     den_scale = z.denominator * math.prod(q for _, q in upper)
     a = b = 1
     for k in range(series.termination_index, 0, -1):
-        num = num_scale * math.prod(p + (k - 1) * q for p, q in upper)
-        den = den_scale * k * math.prod(p + (k - 1) * q for p, q in lower)
+        num = num_scale
+        for p, q in upper:
+            num *= p + (k - 1) * q
+        den = den_scale * k
+        for p, q in lower:
+            den *= p + (k - 1) * q
         a, b = b * den + num * a, b * den
     return Fraction(a, b)
 

@@ -1,10 +1,13 @@
 """Gamma-product reduction: half-integer closed forms, pole bookkeeping,
 and the balanced 2F1(1/2) right-hand side."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knuthsums import hyper
 from knuthsums.gammaprod import (
@@ -117,3 +120,98 @@ def test_gauss_second_odd_cases_reduce_to_zero():
             series = hyper.HyperSeries((a, b), ((a + b + 1) / 2,), HALF)
             assert hyper.eval_terminating(series) == 0
             assert gauss_second_rhs(a, b) == Zero()
+
+
+def _reduce_by_fractions(expr):
+    """The per-factor Fraction reduction that `reduce` replaced, kept as
+    an oracle: a running Fraction multiplied by each Pochhammer ratio,
+    factorial power and half-integer value in turn."""
+
+    def rising(x, k):
+        out = F(1)
+        for j in range(k):
+            out *= x + j
+        return out
+
+    def half(a):
+        m = int(a - HALF)
+        if m >= 0:
+            return F(math.factorial(2 * m), 4**m * math.factorial(m))
+        m = -m
+        return F((-4) ** m * math.factorial(m), math.factorial(2 * m))
+
+    rational = F(expr.scalar)
+    pi_halves = 0
+    num_pole = den_pole = False
+    leftover = []
+    groups = {}
+    for arg, exp in expr.factors:
+        groups.setdefault(arg - math.floor(arg), []).append((F(arg), exp))
+    for frac_part, members in groups.items():
+        if frac_part == 0:
+            for arg, exp in members:
+                if arg >= 1:
+                    rational *= F(math.factorial(int(arg) - 1)) ** exp
+                elif exp > 0:
+                    num_pole = True
+                else:
+                    den_pole = True
+            continue
+        base = min(arg for arg, _ in members)
+        net = 0
+        for arg, exp in members:
+            rational *= rising(base, int(arg - base)) ** exp
+            net += exp
+        if net == 0:
+            continue
+        if frac_part == HALF:
+            rational *= half(base) ** net
+            pi_halves += net
+        else:
+            leftover.append((base, net))
+    if num_pole and den_pole:
+        if pi_halves:
+            leftover.append((HALF, pi_halves))
+        for arg, exp in expr.factors:
+            if arg.denominator == 1 and arg <= 0:
+                leftover.append((arg, exp))
+        return Irreducible(GammaExpr(leftover, rational))
+    if num_pole:
+        return Pole()
+    if den_pole:
+        return Zero()
+    if leftover:
+        if pi_halves:
+            leftover.append((HALF, pi_halves))
+        return Irreducible(GammaExpr(leftover, rational))
+    return Finite(rational, pi_halves)
+
+
+_EXPONENTS = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@st.composite
+def _gamma_products(draw):
+    """Gamma products over arguments p/q, |p| <= 30, q in {1,2,3,4,5,7}:
+    each argument drawn may appear up to three times with exponents of its
+    own, integers come as int or as Fraction, and nonpositive-integer
+    poles may be added on both sides (the 0 * inf case)."""
+    args = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 5, 7]))
+    factors = []
+    for arg in draw(st.lists(args, max_size=6)):
+        if arg.denominator == 1 and draw(st.booleans()):
+            arg = int(arg)
+        factors += [(arg, draw(_EXPONENTS)) for _ in range(draw(st.integers(1, 3)))]
+    for sign in draw(st.lists(st.sampled_from([1, -1]), max_size=2)):
+        factors.append((draw(st.integers(-30, 0)), sign * draw(st.integers(1, 3))))
+    scalar = F(draw(st.integers(1, 60)), draw(st.integers(1, 60))) * draw(st.sampled_from([1, -1]))
+    return GammaExpr(draw(st.permutations(factors)), scalar=scalar)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gamma_products())
+@example(GammaExpr([(0, 1), (-2, -1), (F(5, 2), 2), (F(1, 3), 1)], scalar=F(-3, 4)))
+@example(GammaExpr([(F(7, 3), 2), (F(1, 3), -1), (F(-2, 3), -1), (F(-5, 2), -3)], scalar=5))
+def test_reduce_matches_per_factor_fractions(expr):
+    # GammaValue equality covers an Irreducible's residual factors and scalar
+    assert reduce(expr) == _reduce_by_fractions(expr)

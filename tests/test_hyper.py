@@ -161,3 +161,17 @@ def test_term_recurrence_matches_pochhammer_evaluation():
             continue
         assert eval_terminating(series) == _eval_from_scratch(series)
         checked += 1
+
+
+def test_int_and_fraction_parameters_build_the_same_series():
+    # ints are stored as given, not re-wrapped; the termination index is
+    # computed once and stays out of equality, hashing and repr
+    for upper, lower, z, n in EDGE_SERIES:
+        ints = HyperSeries(upper, lower, z)
+        fractions = HyperSeries([F(u) for u in upper], [F(l) for l in lower], F(z))
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert ints.termination_index == fractions.termination_index == n
+        assert "termination_index" not in repr(ints)
+        assert eval_terminating(ints) == eval_terminating(fractions)
+    assert HyperSeries((-4, -7), (F(1, 3),), 2) == HyperSeries((-4, -7), (F(1, 3),), 2)
+    assert HyperSeries((-4, 1), (2,), 2) != HyperSeries((-5, 1), (2,), 2)
