@@ -46,11 +46,7 @@ class GammaExpr:
         merged: dict[tuple[int, int], list] = {}
         for arg, exp in items:
             a = as_rational(arg)
-            key = a.numerator, a.denominator
-            if key in merged:
-                merged[key][1] += int(exp)
-            else:
-                merged[key] = [a, int(exp)]
+            merged.setdefault((a.numerator, a.denominator), [a, 0])[1] += int(exp)
         s = as_rational(scalar)
         if s == 0:
             raise ValueError("GammaExpr scalar must be nonzero")
