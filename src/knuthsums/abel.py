@@ -72,11 +72,11 @@ def abel1_valid(n: int, ell: Fraction | int) -> bool:
     """k+2l+1 must stay nonzero on 0..n, that is 2l+1 must not be an
     integer in [-n, 0], and l must avoid the negative integers >= -n where
     the binomials' Gamma form degenerates."""
-    ell = Fraction(ell)
-    if ell.denominator == 1 and -n <= ell < 0:
+    a, b = ell.numerator, ell.denominator
+    if b == 1 and -n <= a < 0:
         return False
-    pole = 2 * ell + 1
-    return not (pole.denominator == 1 and -n <= pole <= 0)
+    # 2l+1 = (2a+b)/b, with a and b coprime, is an integer only for b = 1, 2
+    return not (b <= 2 and -n <= (2 * a + b) // b <= 0)
 
 
 def abel1_lhs(n: int, ell: Fraction | int) -> Fraction:

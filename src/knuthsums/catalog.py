@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import abel, legendre
@@ -201,31 +202,46 @@ def intermediate_rhs(n: int) -> Fraction:
     )
 
 
+@lru_cache(maxsize=4)
+def _gf_row(n: int) -> tuple[tuple[int, ...], int]:
+    """The integer coefficients c_k = C(2n,k) (-2)^k L/(k+1), k <= 2n, of
+    the gf-polynomial's terms over L = lcm(1..2n+1).
+
+    Sweeps visit the 2n+1 points of one n in a row (and so do the pool's
+    chunks), so a few rows cover them.
+    """
+    m = 2 * n
+    lcm = math.lcm(*range(1, m + 2))
+    return tuple(math.comb(m, k) * (-2) ** k * (lcm // (k + 1)) for k in range(m + 1)), lcm
+
+
 def gfpoly_lhs(n: int, x: Fraction) -> Fraction:
     """sum_{k=0}^{2n} (-1/2)^k C(2n,k) 4^k x^k / (k+1)  (equals (-2x)^k terms).
 
-    With x = p/q and L = lcm(1..2n+1), every term is an integer over
-    L q^(2n):  C(2n,k) (-2p)^k q^(2n-k) L/(k+1).
+    With x = p/q, every term is an integer over L q^(2n): c_k p^k q^(2n-k)
+    with c_k from `_gf_row`, summed by homogeneous Horner in (p, q).
     """
     p, q = x.numerator, x.denominator
-    m = 2 * n
-    lcm = math.lcm(*range(1, m + 2))
-    q_powers = [1]
-    for _ in range(m):
-        q_powers.append(q_powers[-1] * q)
-    total = 0
-    power = 1
-    for k in range(m + 1):
-        total += math.comb(m, k) * power * q_powers[m - k] * (lcm // (k + 1))
-        power *= -2 * p
-    return Fraction(total, lcm * q_powers[m])
+    coeffs, lcm = _gf_row(n)
+    total = coeffs[-1]
+    q_power = 1
+    for c in reversed(coeffs[:-1]):
+        q_power *= q
+        total = total * p + c * q_power
+    return Fraction(total, lcm * q_power)
 
 
 def gfpoly_rhs(n: int, x: Fraction) -> Fraction:
-    """(1 - (1-2x)^(2n+1)) / (2(2n+1)x) for x != 0; the x -> 0 limit is 1."""
-    if x == 0:
+    """(1 - (1-2x)^(2n+1)) / (2(2n+1)x) for x != 0; the x -> 0 limit is 1.
+
+    With x = p/q this is (q^(2n+1) - (q-2p)^(2n+1)) / (2(2n+1) p q^(2n)).
+    """
+    p, q = x.numerator, x.denominator
+    if p == 0:
         return Fraction(1)
-    return (1 - (1 - 2 * x) ** (2 * n + 1)) / (2 * (2 * n + 1) * x)
+    m = 2 * n
+    q_power = q**m
+    return Fraction(q_power * q - (q - 2 * p) ** (m + 1), 2 * (m + 1) * p * q_power)
 
 
 def tauraso_lhs(n: int) -> Fraction:

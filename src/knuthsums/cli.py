@@ -14,10 +14,14 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import catalog, wz
+from . import catalog
 from .catalog import DEFAULT_ELL_GRID, REGISTRY, Identity, VerificationReport, run_sweep
 from .core import format_rational, parse_rational
+
+if TYPE_CHECKING:
+    from . import wz
 
 TSV_COLUMNS = ("identity", "params", "lhs", "rhs", "status", "micros")
 
@@ -143,6 +147,8 @@ def cmd_verify(args) -> int:
 def _wz_checks(pair: wz.WZPair) -> tuple[Identity, Identity]:
     """One pair's residual check (over the widened k range -1..2n+3) and
     row-sum check, as identities over (n, l)."""
+    from . import wz
+
     return (
         Identity(
             f"wz-{pair.name}-residual",
@@ -167,6 +173,9 @@ def _wz_rows(checks: tuple[Identity, ...], n: int, ell: Fraction) -> list[Verifi
 
 
 def cmd_wz(args) -> int:
+    # imported here, not at module level, so that `verify` never loads wz
+    from . import wz
+
     pairs = wz.certificates()
     names = _select(args.certificate, pairs, "certificate")
     n_max, grid = _sweep_grid(args)

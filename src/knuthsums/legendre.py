@@ -18,9 +18,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from . import gammaprod
 from .core import exact_sum, harmonic, odd_harmonic
+
+if TYPE_CHECKING:
+    from . import gammaprod
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,9 @@ def shifted_legendre(n: int) -> ShiftedLegendre:
 def moment(p: Fraction | int, n: int) -> gammaprod.GammaValue:
     """int_0^1 x^p P_n(2x-1) dx as the reduced Gamma product
     Gamma(p+1)^2 / (Gamma(p-n+1) Gamma(p+n+2)), for rational p > -1."""
+    # the only user of gammaprod here: the registry's LHSs never load it
+    from . import gammaprod
+
     p = Fraction(p)
     if p <= -1:
         raise ValueError(f"moment requires p > -1, got {p}")

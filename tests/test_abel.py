@@ -94,6 +94,22 @@ def test_abel1_validity_matches_denominator_scan(n, ell):
     assert abel.abel1_valid(n, ell) == _abel1_valid_by_loop(n, ell)
 
 
+def _abel1_valid_by_fractions(n, ell):
+    """The predicate with l and 2l+1 formed as Fractions."""
+    ell = F(ell)
+    if ell.denominator == 1 and -n <= ell < 0:
+        return False
+    pole = 2 * ell + 1
+    return not (pole.denominator == 1 and -n <= pole <= 0)
+
+
+def test_abel1_validity_matches_fraction_predicate_exhaustively():
+    shifts = [*{F(a, b) for a in range(-60, 61) for b in range(1, 13)}, *range(-60, 61)]
+    for n in range(41):
+        for ell in shifts:
+            assert abel.abel1_valid(n, ell) == _abel1_valid_by_fractions(n, ell), (n, ell)
+
+
 def test_abel1_zero_shift_against_independent_brute_force():
     for n in range(81):
         direct = sum(

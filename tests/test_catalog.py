@@ -8,7 +8,7 @@ import multiprocessing
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knuthsums import catalog
@@ -175,6 +175,35 @@ def test_gf_polynomial_lhs_equals_per_term_fraction_sum(n, x):
         (F(math.comb(2 * n, k), k + 1) * (-2 * x) ** k for k in range(2 * n + 1)), F(0)
     )
     assert catalog.gfpoly_lhs(n, x) == literal
+
+
+def test_gf_row_cache_equals_fresh_rows_and_is_bounded():
+    assert catalog._gf_row.cache_parameters()["maxsize"] is not None
+    for n in range(41):
+        fresh = catalog._gf_row.__wrapped__(n)
+        assert catalog._gf_row(n) == fresh
+        assert catalog._gf_row(n) == fresh  # read back from the cache
+
+
+def _gfpoly_rhs_by_fractions(n, x):
+    """The closed form in Fraction arithmetic, the oracle for the integer pair."""
+    if x == 0:
+        return F(1)
+    return (1 - (1 - 2 * x) ** (2 * n + 1)) / (2 * (2 * n + 1) * x)
+
+
+@settings(max_examples=300)
+@example(0, F(1, 2))
+@example(7, F(1, 2))  # 1 - 2x = 0
+@example(5, F(0))
+@example(30, F(-7, 15))
+@example(3, F(-1))
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.builds(F, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=15)),
+)
+def test_gf_polynomial_rhs_equals_fraction_closed_form(n, x):
+    assert catalog.gfpoly_rhs(n, x) == _gfpoly_rhs_by_fractions(n, x)
 
 
 def test_harmonic_sum_lhs_equal_per_term_fraction_sums():

@@ -3,22 +3,42 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def test_closed_form_modules_load_without_the_registry():
-    code = (
-        "import sys\n"
-        "import knuthsums.hyper, knuthsums.gammaprod, knuthsums.legendre\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('knuthsums'))))\n"
-    )
+def _python(code: str) -> str:
+    """The stdout of a fresh interpreter running code."""
     env = dict(os.environ, PYTHONPATH=SRC)
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    loaded = set(run.stdout.split())
+    return run.stdout
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The knuthsums modules a fresh interpreter holds after running code."""
+    code += "\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('knuthsums'))))\n"
+    return set(_python(code).splitlines()[-1].split())
+
+
+def _cli_run(*argv: str) -> str:
+    """Code that runs `python -m knuthsums argv` in process, output dropped."""
+    return (
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['knuthsums', *{list(argv)!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('knuthsums', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code in (0, 1), exc.code\n"
+    )
+
+
+def test_closed_form_modules_load_without_the_registry():
+    loaded = _loaded_after("import sys\nimport knuthsums.hyper, knuthsums.gammaprod, knuthsums.legendre")
     assert {"knuthsums.hyper", "knuthsums.gammaprod", "knuthsums.legendre"} <= loaded
     assert not loaded & {"knuthsums.catalog", "knuthsums.abel", "knuthsums.wz"}
 
@@ -33,3 +53,30 @@ def test_namespace_names_resolve_on_first_access():
     assert knuthsums.VerificationReport is catalog.VerificationReport
     with pytest.raises(AttributeError):
         knuthsums.nonexistent
+
+
+def test_verify_loads_neither_wz_nor_gammaprod():
+    loaded = _loaded_after(_cli_run("verify", "--identity", "all", "--n-max", "2"))
+    assert {"knuthsums.cli", "knuthsums.catalog", "knuthsums.legendre"} <= loaded
+    assert not loaded & {"knuthsums.wz", "knuthsums.gammaprod"}
+
+
+def test_wz_loads_no_gammaprod():
+    loaded = _loaded_after(_cli_run("wz", "--n-max", "1"))
+    assert "knuthsums.wz" in loaded
+    assert "knuthsums.gammaprod" not in loaded
+
+
+def test_moment_loads_gammaprod_on_first_call():
+    from knuthsums import legendre
+
+    points = [(1, 1), (F(-1, 2), 0), (F(-1, 2), 3), (2, 5), (F(1, 3), 4), (F(7, 2), 6)]
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from knuthsums import legendre\n"
+        "assert 'knuthsums.gammaprod' not in sys.modules\n"
+        f"for p, n in {[(str(p), n) for p, n in points]!r}:\n"
+        "    print(repr(legendre.moment(Fraction(p), n)))\n"
+    )
+    assert _python(code).splitlines() == [repr(legendre.moment(F(p), n)) for p, n in points]
