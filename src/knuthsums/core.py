@@ -12,7 +12,8 @@ works in integers inside: a factorial of x = p/q is one integer product
 over a power of q, a shifted sum is accumulated as one integer
 numerator, and every other literal sum of rationals goes through
 `exact_sum`, one integer numerator over the lcm of its denominators;
-each builds a single `Fraction` at the end.
+each builds a single `Fraction` at the end.  `Record` is the immutable
+value type the closed-form modules build their results on.
 """
 
 from __future__ import annotations
@@ -55,6 +56,46 @@ def format_rational(value: Fraction | int) -> str:
 def as_rational(x) -> Fraction | int:
     """x itself when it is already an int or a Fraction, else Fraction(x)."""
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+class Record:
+    """An immutable value type over `__slots__`, without `dataclasses`.
+
+    A subclass names its compared fields in `_fields` and sets its slots
+    in `__init__` with `object.__setattr__`.  Two records are equal when
+    they have the same exact type and equal fields; the hash and the repr
+    (`Name(field=value, ...)`, as a frozen dataclass prints it) read the
+    same fields.  A slot outside `_fields` is derived data: it takes part
+    in none of them, and pickling or copying rebuilds it through
+    `__init__`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def is_nonpositive_integer(x: Fraction | int) -> bool:

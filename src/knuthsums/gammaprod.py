@@ -26,10 +26,9 @@ resolve -- this engine never takes limits).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import as_rational, is_nonpositive_integer
+from .core import Record, as_rational, is_nonpositive_integer
 
 HALF = Fraction(1, 2)
 
@@ -69,31 +68,37 @@ class GammaExpr:
         return f"GammaExpr({self.scalar} * {parts or '1'})"
 
 
-class GammaValue:
-    """Base class for the result of reducing a GammaExpr."""
+class GammaValue(Record):
+    """Base class for the result of reducing a GammaExpr: an immutable
+    value that equals only the same variant with equal fields."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Finite(GammaValue):
     """Fully reduced value q * pi^(s/2) with q a nonzero rational."""
 
+    __slots__ = _fields = ("q", "s")
     q: Fraction
     s: int
 
+    def __init__(self, q: Fraction, s: int) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "s", s)
 
-@dataclass(frozen=True)
+
 class Zero(GammaValue):
     """A Gamma pole survived in the denominator, so the product is 0."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Pole(GammaValue):
     """A Gamma pole survived in the numerator."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Irreducible(GammaValue):
     """Whatever could not be evaluated exactly, kept as a GammaExpr.
 
@@ -101,7 +106,11 @@ class Irreducible(GammaValue):
     the residual stays a pure Gamma product.
     """
 
+    __slots__ = _fields = ("residual",)
     residual: GammaExpr
+
+    def __init__(self, residual: GammaExpr) -> None:
+        object.__setattr__(self, "residual", residual)
 
 
 def _half_pair(p: int) -> tuple[int, int]:
@@ -210,16 +219,20 @@ def gauss_second_rhs(a: Fraction | int, b: Fraction | int) -> GammaValue:
 
         sqrt(pi) Gamma((a+b+1)/2) / (Gamma((a+1)/2) Gamma((b+1)/2))
 
-    built as a Gamma product (sqrt(pi) = Gamma(1/2)) and reduced.
+    built as a Gamma product (sqrt(pi) = Gamma(1/2)) and reduced.  With
+    a = p/q and b = r/s the three arguments are the integer pairs
+    (ps + rq + qs)/(2qs), (p + q)/(2q) and (r + s)/(2s).
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    a = as_rational(a)
+    b = as_rational(b)
+    p, q = a.numerator, a.denominator
+    r, s = b.numerator, b.denominator
     expr = GammaExpr(
         [
             (HALF, 1),
-            ((a + b + 1) / 2, 1),
-            ((a + 1) / 2, -1),
-            ((b + 1) / 2, -1),
+            (Fraction(p * s + r * q + q * s, 2 * q * s), 1),
+            (Fraction(p + q, 2 * q), -1),
+            (Fraction(r + s, 2 * s), -1),
         ]
     )
     return reduce(expr)

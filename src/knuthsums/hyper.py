@@ -20,14 +20,12 @@ for odd upper index).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import as_rational, is_nonpositive_integer, pochhammer
+from .core import Record, as_rational, is_nonpositive_integer
 
 
-@dataclass(frozen=True)
-class HyperSeries:
+class HyperSeries(Record):
     """A terminating pFq: upper/lower rational parameters and argument.
 
     At least one upper parameter must be a nonpositive integer (the
@@ -35,14 +33,17 @@ class HyperSeries:
     >= -N where N is the termination index, since its Pochhammer would
     vanish inside the summation range.  Parameters given as int or
     Fraction are stored as they are, so a series built from ints equals
-    (and hashes like) the same series built from Fractions.
+    (and hashes like) the same series built from Fractions.  Equality,
+    hash and repr read upper, lower and argument only.
     """
 
+    __slots__ = ("upper", "lower", "argument", "termination_index")
+    _fields = ("upper", "lower", "argument")
     upper: tuple[Fraction | int, ...]
     lower: tuple[Fraction | int, ...]
     argument: Fraction | int
     # Smallest N with (-N) among the upper parameters; the sum stops at k = N.
-    termination_index: int = field(init=False, repr=False, compare=False)
+    termination_index: int
 
     def __init__(self, upper, lower, argument) -> None:
         upper = tuple(as_rational(u) for u in upper)
@@ -92,17 +93,31 @@ def eval_terminating(series: HyperSeries) -> Fraction:
     return Fraction(a, b)
 
 
+def _check_twice(p: int, q: int, m: int) -> None:
+    """Raise when the lower parameter 2a, a = p/q, is a nonpositive integer
+    c with -c <= m, so that (2a)_k vanishes for some k <= m."""
+    c, r = divmod(2 * p, q)
+    if r == 0 and -m <= c <= 0:
+        raise ValueError(f"lower parameter 2a={c} hits a vanishing Pochhammer")
+
+
 def kummer_even(n: int, a: Fraction | int) -> Fraction:
-    """Closed form (1/2)_n / (a+1/2)_n for 2F1[-2n, a; 2a | 2]."""
+    """Closed form (1/2)_n / (a+1/2)_n for 2F1[-2n, a; 2a | 2].
+
+    With a = p/q, (1/2)_n = 1 * 3 * ... * (2n-1) / 2^n and
+    (a+1/2)_n = prod_{i<n} (2p + (2i+1)q) / (2q)^n, so the quotient is
+    the integer 1 * 3 * ... * (2n-1) * q^n over the integer
+    prod_{i<n} (2p + (2i+1)q).
+    """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    a = Fraction(a)
-    den = pochhammer(a + Fraction(1, 2), n)
+    a = as_rational(a)
+    p, q = a.numerator, a.denominator
+    den = math.prod(range(2 * p + q, 2 * p + (2 * n + 1) * q, 2 * q))
     if den == 0:
-        raise ValueError(f"(a+1/2)_n vanishes for a={a}, n={n}")
-    if is_nonpositive_integer(2 * a) and -int(2 * a) <= 2 * n:
-        raise ValueError(f"lower parameter 2a={2 * a} hits a vanishing Pochhammer")
-    return pochhammer(Fraction(1, 2), n) / den
+        raise ValueError(f"(a+1/2)_n vanishes for a={Fraction(p, q)}, n={n}")
+    _check_twice(p, q, 2 * n)
+    return Fraction(math.prod(range(1, 2 * n, 2)) * q**n, den)
 
 
 def kummer_odd_zero(n: int, a: Fraction | int) -> Fraction:
@@ -114,10 +129,8 @@ def kummer_odd_zero(n: int, a: Fraction | int) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    a = Fraction(a)
-    c = 2 * a
-    if is_nonpositive_integer(c) and -int(c) <= 2 * n + 1:
-        raise ValueError(f"lower parameter 2a={c} hits a vanishing Pochhammer")
+    a = as_rational(a)
+    _check_twice(a.numerator, a.denominator, 2 * n + 1)
     return Fraction(0)
 
 

@@ -15,19 +15,17 @@ int_0^1 x^(j-1/2) ln(x) dx = -4/(2j+1)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import exact_sum, harmonic, odd_harmonic
+from .core import as_rational, exact_sum, harmonic, odd_harmonic
 
 if TYPE_CHECKING:
     from . import gammaprod
 
 
-@dataclass(frozen=True)
-class ShiftedLegendre:
+class ShiftedLegendre(NamedTuple):
     """Monomial coefficients of P_n(2x-1): coeffs[j] multiplies x^j."""
 
     n: int
@@ -62,14 +60,25 @@ def shifted_legendre(n: int) -> ShiftedLegendre:
 
 def moment(p: Fraction | int, n: int) -> gammaprod.GammaValue:
     """int_0^1 x^p P_n(2x-1) dx as the reduced Gamma product
-    Gamma(p+1)^2 / (Gamma(p-n+1) Gamma(p+n+2)), for rational p > -1."""
+    Gamma(p+1)^2 / (Gamma(p-n+1) Gamma(p+n+2)), for rational p > -1 and
+    n >= 0.  With p = a/d the arguments are the integer pairs (a+d)/d,
+    (a+(1-n)d)/d and (a+(n+2)d)/d."""
     # the only user of gammaprod here: the registry's LHSs never load it
     from . import gammaprod
 
-    p = Fraction(p)
-    if p <= -1:
-        raise ValueError(f"moment requires p > -1, got {p}")
-    expr = gammaprod.GammaExpr([(p + 1, 2), (p - n + 1, -1), (p + n + 2, -1)])
+    p = as_rational(p)
+    a, d = p.numerator, p.denominator
+    if a <= -d:
+        raise ValueError(f"moment requires p > -1, got {Fraction(a, d)}")
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    expr = gammaprod.GammaExpr(
+        [
+            (Fraction(a + d, d), 2),
+            (Fraction(a + (1 - n) * d, d), -1),
+            (Fraction(a + (n + 2) * d, d), -1),
+        ]
+    )
     return gammaprod.reduce(expr)
 
 

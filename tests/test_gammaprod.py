@@ -1,7 +1,9 @@
 """Gamma-product reduction: half-integer closed forms, pole bookkeeping,
 and the balanced 2F1(1/2) right-hand side."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -66,6 +68,36 @@ def test_irreducible_keeps_residual():
 def test_scalar_must_be_nonzero():
     with pytest.raises(ValueError):
         GammaExpr([(1, 1)], scalar=0)
+
+
+def test_gamma_values_are_immutable_value_types():
+    residual = GammaExpr([(F(1, 3), 1), (F(1, 2), 2)], scalar=F(2))
+    values = [Finite(F(2, 3), 0), Finite(F(-3, 4), 1), Zero(), Pole(), Irreducible(residual)]
+    # the reprs a frozen dataclass printed for the same values
+    assert [repr(v) for v in values] == [
+        "Finite(q=Fraction(2, 3), s=0)",
+        "Finite(q=Fraction(-3, 4), s=1)",
+        "Zero()",
+        "Pole()",
+        "Irreducible(residual=GammaExpr(2 * G(1/3)^1 * G(1/2)^2))",
+    ]
+    twins = [Finite(q=F(4, 6), s=0), Finite(F(-3, 4), 1), Zero(), Pole(), Irreducible(residual)]
+    for i, v in enumerate(values):
+        assert v == twins[i] and hash(v) == hash(twins[i])
+        assert pickle.loads(pickle.dumps(v)) == v and copy.copy(v) == v
+        for j, w in enumerate(values):
+            assert (v == w) == (i == j) and (v != w) == (i != j)
+    assert Zero() != Pole() and Pole() != Zero()
+    assert Finite(F(2, 3), 0) != (F(2, 3), 0) and (F(2, 3), 0) != Finite(F(2, 3), 0)
+    assert Irreducible(residual) != residual
+    for value, field in [(values[0], "q"), (values[0], "s"), (values[4], "residual")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        Zero().extra = 1
+    assert values[0].q == F(2, 3) and values[4].residual is residual
 
 
 def test_reduce_invariant_under_reordering_and_splitting():

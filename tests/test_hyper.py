@@ -1,6 +1,8 @@
 """Terminating hypergeometric evaluation and the classical 2F1(2) closed forms."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -175,3 +177,29 @@ def test_int_and_fraction_parameters_build_the_same_series():
         assert eval_terminating(ints) == eval_terminating(fractions)
     assert HyperSeries((-4, -7), (F(1, 3),), 2) == HyperSeries((-4, -7), (F(1, 3),), 2)
     assert HyperSeries((-4, 1), (2,), 2) != HyperSeries((-5, 1), (2,), 2)
+
+
+def test_series_is_an_immutable_value_type():
+    series = HyperSeries((-2, F(1, 2)), (1,), 2)
+    # the repr a frozen dataclass printed, termination_index left out
+    assert repr(series) == "HyperSeries(upper=(-2, Fraction(1, 2)), lower=(1,), argument=2)"
+    assert (
+        repr(HyperSeries((-4, -7), (F(1, 3),), F(-1, 2)))
+        == "HyperSeries(upper=(-4, -7), lower=(Fraction(1, 3),), argument=Fraction(-1, 2))"
+    )
+    twin = HyperSeries([F(-2), F(2, 4)], [F(1)], F(2))
+    assert series == twin and hash(series) == hash(twin)
+    for other in (
+        HyperSeries((-3, F(1, 2)), (1,), 2),
+        HyperSeries((-2, F(1, 2)), (2,), 2),
+        HyperSeries((-2, F(1, 2)), (1,), 3),
+        ((-2, F(1, 2)), (1,), 2),
+    ):
+        assert series != other and other != series
+    copied = copy.copy(series)
+    assert copied == series and copied.termination_index == 2
+    assert pickle.loads(pickle.dumps(series)).termination_index == 2
+    for field in ("upper", "lower", "argument", "termination_index"):
+        with pytest.raises(AttributeError):
+            setattr(series, field, (0,))
+    assert series.upper == (-2, F(1, 2)) and series.termination_index == 2

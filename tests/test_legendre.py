@@ -34,6 +34,19 @@ def test_cached_expansion_equals_fresh_expansion():
     assert legendre.shifted_legendre.cache_info().maxsize is not None
 
 
+def test_expansion_is_an_immutable_value_type():
+    poly = legendre.shifted_legendre(2)
+    # the repr a frozen dataclass printed for the same value
+    assert repr(poly) == "ShiftedLegendre(n=2, coeffs=(1, -6, 6))"
+    twin = legendre.ShiftedLegendre(2, (1, -6, 6))
+    assert poly == twin and hash(poly) == hash(twin)
+    assert poly != legendre.shifted_legendre(3) and poly != legendre.ShiftedLegendre(2, (1, -6, 7))
+    for field in ("n", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(poly, field, 0)
+    assert poly.n == 2 and poly.coeffs == (1, -6, 6)
+
+
 def test_endpoint_values():
     for n in range(51):
         poly = legendre.shifted_legendre(n)
@@ -49,6 +62,21 @@ def test_moment_examples():
     assert legendre.moment(2, 5) == Zero()
     with pytest.raises(ValueError):
         legendre.moment(F(-3, 2), 1)
+
+
+def test_moment_rejects_negative_degree_like_its_oracle():
+    for p in (F(1, 2), 0, 3, F(-1, 3)):
+        for n in (-1, -2, -7):
+            with pytest.raises(ValueError) as oracle:
+                legendre.moment_by_expansion(p, n)
+            with pytest.raises(ValueError) as gamma_route:
+                legendre.moment(p, n)
+            assert str(gamma_route.value) == str(oracle.value) == f"degree must be nonnegative, got {n}"
+    # p <= -1 is reported first, by both
+    with pytest.raises(ValueError, match=r"^moment requires p > -1, got -3/2$"):
+        legendre.moment(F(-3, 2), -1)
+    with pytest.raises(ValueError, match=r"^moment requires p > -1, got -3/2$"):
+        legendre.moment_by_expansion(F(-3, 2), -1)
 
 
 def test_moment_generic_rational_reduces_fully():

@@ -67,6 +67,18 @@ def test_wz_loads_no_gammaprod():
     assert "knuthsums.gammaprod" not in loaded
 
 
+def test_closed_forms_load_no_dataclasses():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, which
+    # would dominate the start-up of a closed-forms run
+    code = (
+        "import sys\n"
+        "import knuthsums.hyper, knuthsums.gammaprod, knuthsums.legendre\n"
+        "knuthsums.legendre.moment(1, 1)\n"
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))\n"
+    )
+    assert _python(code).splitlines()[-1] == ""
+
+
 def test_moment_loads_gammaprod_on_first_call():
     from knuthsums import legendre
 
