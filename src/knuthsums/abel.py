@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import exact_sum, gbinom, pochhammer, prop1_terms
+from .core import as_rational, exact_sum, gbinom_pair, pochhammer, prop1_terms
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def first_pair(n: int, ell: Fraction | int, cutoff: int | None = None) -> Sequen
     """
     if n < 1:
         raise ValueError(f"pair requires n >= 1, got {n}")
-    ell = Fraction(ell)
+    ell = as_rational(ell)
 
     def a(i: int) -> Fraction:
         return Fraction(-(i - n)) * pochhammer(-n, i) / (n * math.factorial(i))
@@ -86,7 +86,7 @@ def abel1_lhs(n: int, ell: Fraction | int) -> Fraction:
     times the weight k(n-k) b / (kb+2a+b), summed by `core.exact_sum` and
     divided by prop1's denominator.
     """
-    ell = Fraction(ell)
+    ell = as_rational(ell)
     a, b = ell.numerator, ell.denominator
     terms, den = prop1_terms(n, ell)
     # k(n-k) vanishes at k = 0 and k = n
@@ -95,10 +95,14 @@ def abel1_lhs(n: int, ell: Fraction | int) -> Fraction:
 
 
 def abel1_rhs(n: int, ell: Fraction | int) -> Fraction:
-    """-2^(-n) n choose(n+l, n/2) for even n, else 0."""
+    """-2^(-n) n choose(n+l, n/2) for even n, else 0, with l = a/b one
+    integer pair (`core.gbinom_pair` of (nb+a, b)) over 2^n."""
     if n % 2:
         return Fraction(0)
-    return -Fraction(n, 2**n) * gbinom(n + Fraction(ell), n // 2)
+    ell = as_rational(ell)
+    a, b = ell.numerator, ell.denominator
+    num, den = gbinom_pair(n * b + a, b, n // 2)
+    return Fraction(-n * num, den * 2**n)
 
 
 def abel2_lhs(n: int) -> Fraction:

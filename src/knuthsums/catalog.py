@@ -17,8 +17,8 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import abel, legendre
-from .core import CertificateDenominatorZero, exact_sum, format_rational, gbinom, harmonic
-from .core import odd_harmonic, prop1_terms, prop2_terms
+from .core import CertificateDenominatorZero, exact_sum, format_rational, gbinom_pair
+from .core import harmonic, odd_harmonic, prop1_terms, prop2_terms
 
 # Mixes integers, half-integers and generic rationals; identities skip the
 # grid points their validity predicate excludes.
@@ -108,7 +108,7 @@ def knuth_rhs(n: int) -> Fraction:
 def prop1_valid(n: int, ell: Fraction) -> bool:
     """The shift must avoid the negative integers >= -n, where the Gamma
     form of choose(n+l, k+l) degenerates."""
-    return not (ell.denominator == 1 and -n <= ell <= -1)
+    return not (ell.denominator == 1 and -n <= ell.numerator <= -1)
 
 
 def prop1_lhs(n: int, ell: Fraction) -> Fraction:
@@ -119,10 +119,13 @@ def prop1_lhs(n: int, ell: Fraction) -> Fraction:
 
 
 def prop1_rhs(n: int, ell: Fraction) -> Fraction:
-    """2^(-n) choose(n+l, n/2) for even n, else 0."""
+    """2^(-n) choose(n+l, n/2) for even n, else 0, with l = a/b one
+    integer pair (`core.gbinom_pair` of (nb+a, b)) over 2^n."""
     if n % 2:
         return Fraction(0)
-    return gbinom(n + ell, n // 2) / 2**n
+    a, b = ell.numerator, ell.denominator
+    num, den = gbinom_pair(n * b + a, b, n // 2)
+    return Fraction(num, den * 2**n)
 
 
 # choose(k+l, k) for k <= n vanishes exactly at the integer shifts
@@ -140,10 +143,17 @@ def prop2_lhs(n: int, ell: Fraction) -> Fraction:
 
 
 def prop2_rhs(n: int, ell: Fraction) -> Fraction:
-    """2^(-n) C(n, n/2) / choose(n/2+l, n/2) for even n, else 0."""
+    """2^(-n) C(n, n/2) / choose(n/2+l, n/2) for even n, else 0.
+
+    With l = a/b and h = n/2, choose(h+l, h) is `core.gbinom_pair` of
+    (hb+a, b); ZeroDivisionError where it vanishes.
+    """
     if n % 2:
         return Fraction(0)
-    return Fraction(math.comb(n, n // 2), 2**n) / gbinom(n // 2 + ell, n // 2)
+    a, b = ell.numerator, ell.denominator
+    h = n // 2
+    num, den = gbinom_pair(h * b + a, b, h)
+    return Fraction(math.comb(n, h) * den, 2**n * num)
 
 
 # ---------------------------------------------------------------------------
@@ -456,5 +466,19 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = collect(pool.map(_verify_case, cases, chunksize=chunksize))
             pool.shutdown(cancel_futures=True)
-    reports.sort(key=lambda r: (r.identity, tuple(v for _, v in r.params)))
+    sort_reports(reports, ell_grid)
     return reports
+
+
+def sort_reports(reports: list[VerificationReport], ell_grid: tuple[Fraction, ...]) -> None:
+    """Sort reports in place by (identity, n, shift) on integer keys: a
+    shift is keyed by its rank in the sorted grid, so no two Fractions are
+    compared.  Within one n the x points come in increasing order already,
+    and the sort is stable."""
+    rank = {ell: r for r, ell in enumerate(sorted(ell_grid))}
+
+    def key(rep: VerificationReport) -> tuple[str, int, int]:
+        (_, n), *rest = rep.params
+        return rep.identity, n, rank[rest[0][1]] if rest and rest[0][0] == "ell" else 0
+
+    reports.sort(key=key)

@@ -3,7 +3,7 @@ certificates, and list the registry.
 
 Exit codes: 0 when every non-skipped case passes, 1 when any case fails,
 2 for configuration errors (unknown or repeated keys, malformed or repeated
-rationals).
+rationals, an empty entry in a comma-separated list).
 Rationals cross the wire as exact "p/q" strings, never floats.
 """
 
@@ -30,12 +30,25 @@ class ConfigError(ValueError):
     pass
 
 
+def _entries(text: str, flag: str) -> list[str]:
+    """The stripped entries of a comma-separated option value: none when
+    every entry is blank, a ConfigError naming the first blank entry when
+    only some are."""
+    entries = [s.strip() for s in text.split(",")]
+    if not any(entries):
+        return []
+    if "" in entries:
+        position = entries.index("") + 1
+        raise ConfigError(f"{flag} has an empty entry (entry {position} of {text!r})")
+    return entries
+
+
 def _select(selector: str, valid, what: str) -> list[str]:
     """The keys of `valid` named by a comma-separated selector, or all of
     them for "all"."""
     if selector == "all":
         return sorted(valid)
-    names = [s.strip() for s in selector.split(",") if s.strip()]
+    names = _entries(selector, f"--{what}")
     unknown = [n for n in names if n not in valid]
     if unknown:
         raise ConfigError(
@@ -54,7 +67,7 @@ def _parse_grid(literals: str | None) -> tuple[Fraction, ...]:
     if literals is None:
         return DEFAULT_ELL_GRID
     try:
-        values = tuple(parse_rational(s) for s in literals.split(",") if s.strip())
+        values = tuple(parse_rational(s) for s in _entries(literals, "--ell"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not values:
@@ -187,7 +200,7 @@ def cmd_wz(args) -> int:
         reports.extend(rows)
         if args.fail_fast and any(r.status == "fail" for r in rows):
             break
-    reports.sort(key=lambda r: (r.identity, tuple(v for _, v in r.params)))
+    catalog.sort_reports(reports, grid)
     _emit(reports, args.format, sys.stdout)
     return _exit_code(reports)
 

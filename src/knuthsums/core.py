@@ -6,14 +6,15 @@ building blocks: rising and falling factorials, generalized binomial
 coefficients with a rational upper argument, the integer numerators of
 the two binomial rows every shifted sum walks (choose(x, j) and
 choose(2k+2l, k), each over a known denominator), the summand kernels of
-the two shifted Reed Dawson sums built from them, and memoized
-harmonic / odd-harmonic numbers.  Everything but the harmonic numbers
-works in integers inside: a factorial of x = p/q is one integer product
-over a power of q, a shifted sum is accumulated as one integer
-numerator, and every other literal sum of rationals goes through
-`exact_sum`, one integer numerator over the lcm of its denominators;
-each builds a single `Fraction` at the end.  `Record` is the immutable
-value type the closed-form modules build their results on.
+the two shifted Reed Dawson sums built from them over one bounded cache
+of per-shift rows, and memoized harmonic / odd-harmonic numbers.
+Everything but the harmonic numbers works in integers inside: a
+factorial of x = p/q is one integer product over a power of q, a
+shifted sum is accumulated as one integer numerator, and every other
+literal sum of rationals goes through `exact_sum`, one integer numerator
+over the lcm of its denominators; each builds a single `Fraction` at
+the end.  `Record` is the immutable value type the closed-form modules
+build their results on.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -147,7 +149,21 @@ def gbinom(a: Fraction | int, m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError(f"gbinom lower index must be nonnegative, got {m}")
-    return falling(a, m) / math.factorial(m)
+    return Fraction(*gbinom_pair(a.numerator, a.denominator, m))
+
+
+def gbinom_pair(p: int, q: int, m: int) -> tuple[int, int]:
+    """choose(p/q, m) as an integer pair: p (p-q) ... (p-(m-1)q) over q^m m!,
+    for m >= 0 and q > 0."""
+    return math.prod(range(p, p - m * q, -q)), q**m * math.factorial(m)
+
+
+def _falling_numerators(p: int, q: int, m: int) -> list[int]:
+    """The prefix products U_j = p (p-q) ... (p-(j-1)q), j = 0..m."""
+    row = [1]
+    for i in range(m):
+        row.append(row[-1] * (p - i * q))
+    return row
 
 
 def gbinom_numerators(x: Fraction | int, m: int) -> list[int]:
@@ -157,40 +173,59 @@ def gbinom_numerators(x: Fraction | int, m: int) -> list[int]:
     U_j = p (p-q) ... (p-(j-1)q): the prefix products of one factor per
     step, so no division happens and no step can be 0/0.
     """
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    row = [1]
-    for i in range(m):
-        row.append(row[-1] * (p - i * q))
-    return row
+    x = as_rational(x)
+    return _falling_numerators(x.numerator, x.denominator, m)
+
+
+@lru_cache(maxsize=16)
+def _shift_rows(a: int, b: int) -> tuple[list[int], list[int]]:
+    """The two rows of the shift l = a/b that every shifted sum reads, as
+    `_grown_rows` has grown them so far: the M_k of choose(2k+2l, k) and
+    the prefix products Q_k of choose(-l-1, k).
+
+    Row n is a prefix of row n+1, so a sweep along n builds each entry
+    once per shift; 16 shifts cover the default grid's 10.
+    """
+    return [1], [1]
+
+
+def _grown_rows(ell: Fraction | int, m: int) -> tuple[list[int], list[int]]:
+    """The cached rows of `_shift_rows` for l, grown through k = m.  They
+    are shared by every caller: read them, never mutate them."""
+    a, b = ell.numerator, ell.denominator
+    b2k, reflected = _shift_rows(a, b)
+    for k in range(len(b2k), m + 1):
+        b2k.append(math.prod(range(2 * a + 2 * k * b, 2 * a + k * b, -b)))
+    for i in range(len(reflected) - 1, m):
+        reflected.append(reflected[-1] * (-a - b - i * b))
+    return b2k, reflected
 
 
 def binom2k_numerators(ell: Fraction | int, m: int) -> list[int]:
     """Integer numerators of choose(2k+2l, k), k = 0..m, for a rational shift l.
 
     With l = a/b in lowest terms, choose(2k+2l, k) = M_k / (b^k k!) where
-    M_k = (2a+2kb) (2a+2kb-b) ... (2a+kb+b), one product per entry.
+    M_k = (2a+2kb) (2a+2kb-b) ... (2a+kb+b), one product per entry, read
+    from the per-shift cache as a fresh list.
     """
-    ell = Fraction(ell)
-    a, b = ell.numerator, ell.denominator
-    return [math.prod(range(2 * a + 2 * k * b, 2 * a + k * b, -b)) for k in range(m + 1)]
+    return _grown_rows(as_rational(ell), m)[0][: m + 1]
 
 
 def prop1_terms(n: int, ell: Fraction | int) -> tuple[list[int], int]:
     """The terms of sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k)
     as integers over one common denominator.
 
-    With l = a/b, choose(n+l, n-k) = U_{n-k} / (b^(n-k) (n-k)!) and
-    choose(2k+2l, k) = M_k / (b^k k!), so the k-th term is
-    (-1)^k 2^(n-k) C(n,k) U_{n-k} M_k over 2^n b^n n!.
+    With l = a/b, choose(n+l, n-k) = U_{n-k} / (b^(n-k) (n-k)!), U built
+    from n+l = (nb+a)/b, and choose(2k+2l, k) = M_k / (b^k k!), so the
+    k-th term is (-1)^k 2^(n-k) C(n,k) U_{n-k} M_k over 2^n b^n n!.
     """
-    ell = Fraction(ell)
-    upper = gbinom_numerators(n + ell, n)
-    b2k = binom2k_numerators(ell, n)
-    terms = [
-        (-1) ** k * 2 ** (n - k) * math.comb(n, k) * upper[n - k] * b2k[k] for k in range(n + 1)
-    ]
-    return terms, 2**n * ell.denominator**n * math.factorial(n)
+    ell = as_rational(ell)
+    a, b = ell.numerator, ell.denominator
+    upper = _falling_numerators(n * b + a, b, n)
+    b2k = _grown_rows(ell, n)[0]
+    terms = [math.comb(n, k) * upper[n - k] * b2k[k] << (n - k) for k in range(n + 1)]
+    terms[1::2] = [-t for t in terms[1::2]]  # the sign (-1)^k
+    return terms, 2**n * b**n * math.factorial(n)
 
 
 def prop2_terms(n: int, ell: Fraction | int) -> tuple[list[int], int]:
@@ -204,13 +239,12 @@ def prop2_terms(n: int, ell: Fraction | int) -> tuple[list[int], int]:
     C(n,k) M_k 2^(n-k) Q_n/Q_k over 2^n Q_n.  Raises ValueError where
     choose(k+l, k) vanishes for some k <= n.
     """
-    ell = Fraction(ell)
-    b2k = binom2k_numerators(ell, n)
-    reflected = gbinom_numerators(-ell - 1, n)
+    ell = as_rational(ell)
+    b2k, reflected = _grown_rows(ell, n)
     top = reflected[n]
     if top == 0:
         raise ValueError(f"choose(k+l,k) vanishes at k={reflected.index(0)} for l={ell}")
-    terms = [math.comb(n, k) * b2k[k] * 2 ** (n - k) * (top // reflected[k]) for k in range(n + 1)]
+    terms = [math.comb(n, k) * b2k[k] * (top // reflected[k]) << (n - k) for k in range(n + 1)]
     return terms, 2**n * top
 
 

@@ -91,6 +91,88 @@ def test_empty_selector_is_config_error(capsys):
             assert "names given" in err
 
 
+def test_empty_list_entry_is_config_error(capsys):
+    # a blank entry among named ones is a typo, not an entry to drop
+    for argv, message in (
+        (("verify", "--identity", "prop1-general-ell", "--ell=1/2,,1"),
+         "--ell has an empty entry (entry 2 of '1/2,,1')"),
+        (("verify", "--identity", "prop1-general-ell", "--ell=1/2,1,"),
+         "--ell has an empty entry (entry 3 of '1/2,1,')"),
+        (("verify", "--identity", "prop1-general-ell,,knuth-old-sum"),
+         "--identity has an empty entry (entry 2 of 'prop1-general-ell,,knuth-old-sum')"),
+        (("verify", "--identity", ",knuth-old-sum"),
+         "--identity has an empty entry (entry 1 of ',knuth-old-sum')"),
+        (("wz", "--certificate", "prop1", "--ell=,1/2"),
+         "--ell has an empty entry (entry 1 of ',1/2')"),
+        (("wz", "--certificate", "prop1, ,prop2"),
+         "--certificate has an empty entry (entry 2 of 'prop1, ,prop2')"),
+        (("wz", "--certificate", "prop1,"),
+         "--certificate has an empty entry (entry 2 of 'prop1,')"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--n-max", "1")
+        assert code == 2, argv
+        assert out == ""
+        assert message in err, argv
+    # a value with no entries at all keeps its own message
+    for sub in ("verify", "wz"):
+        for grid in ("", ",", " , "):
+            code, out, err = run_cli(capsys, sub, "--n-max", "1", f"--ell={grid}")
+            assert (code, out) == (2, ""), (sub, grid)
+            assert "empty --ell grid" in err
+
+
+def test_fail_fast_prefix_and_order_with_unsorted_grid(capsys, monkeypatch):
+    argv = ["verify", "--identity", "all", "--n-max", "12", "--ell=7/5,-1/3,2,-2,1/2",
+            "--format", "json", "--fail-fast"]
+    shifts = ["-2", "-1/3", "1/2", "7/5", "2"]  # the grid, sorted
+
+    def params(ident, n):
+        first = ident.param_names[0]
+        if "ell" in ident.param_names:
+            return [{first: n, "ell": ell} for ell in shifts]
+        if "x" in ident.param_names:
+            return [{first: n, "x": format_rational(F(j, 2 * n + 1))} for j in range(1, 2 * n + 2)]
+        return [{first: n}]
+
+    def keys(out):
+        return [(r["identity"], r["params"]) for r in map(json.loads, out.splitlines())]
+
+    # every case passes: the whole sweep, sorted by (identity, n, shift)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert keys(out) == [
+        (name, p) for name, ident in sorted(REGISTRY.items())
+        for n in range(13) for p in params(ident, n)
+    ]
+
+    # the first failure, in sweep order, is prop1 at n = 5, l = 2: the
+    # shifts -2 and 1/2 come after it in the grid and are never checked
+    ident = REGISTRY["prop1-general-ell"]
+
+    def rhs(n, ell):
+        return ident.rhs(n, ell) + (n == 5 and ell == 2)
+
+    monkeypatch.setitem(REGISTRY, "prop1-general-ell", dataclasses.replace(ident, rhs=rhs))
+    outputs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
+        assert code == 1
+        outputs.append(out)
+        expected = [
+            (name, p) for name, other in sorted(REGISTRY.items()) if name < ident.name
+            for n in range(13) for p in params(other, n)
+        ]
+        expected += [(ident.name, p) for n in range(5) for p in params(ident, n)]
+        expected += [(ident.name, {"n": 5, "ell": ell}) for ell in ("-1/3", "7/5", "2")]
+        assert keys(out) == expected
+        assert json.loads(out.splitlines()[-1])["status"] == "fail"
+
+    def strip_micros(text):
+        return [{k: v for k, v in json.loads(line).items() if k != "micros"} for line in text.splitlines()]
+
+    assert strip_micros(outputs[0]) == strip_micros(outputs[1])
+
+
 def test_repeated_shift_is_config_error(capsys):
     # 2/4 only equals 1/2 once normalised
     for argv in (

@@ -183,6 +183,72 @@ def test_summand_kernels_match_gbinom_term_by_term(name, n, ell):
     assert [F(t, den) for t in terms] == [_literal_term(name, n, k, ell) for k in range(n + 1)]
 
 
+# negative integers, half-integers and generic shifts, the first few of
+# them integers given as int
+CACHED_SHIFTS = (-3, -1, 0, 2, F(-4), F(-5, 2), F(1, 2), F(7, 2), F(-7, 5), F(1, 3), F(11, 9))
+
+
+def _check_shift_rows(ell, m):
+    """Both cached rows of ell through k = m against the per-entry products
+    and against gbinom: M_k of choose(2k+2l, k), Q_k of choose(-l-1, k)."""
+    a, b = ell.numerator, ell.denominator
+    b2k, reflected = (row[: m + 1] for row in core._grown_rows(ell, m))
+    assert b2k == [math.prod(range(2 * a + 2 * k * b, 2 * a + k * b, -b)) for k in range(m + 1)]
+    assert reflected == [math.prod(range(-a - b, -a - b - k * b, -b)) for k in range(m + 1)]
+    assert _over(b2k, b) == [core.gbinom(2 * k + 2 * ell, k) for k in range(m + 1)]
+    assert _over(reflected, b) == [core.gbinom(-F(ell) - 1, k) for k in range(m + 1)]
+    assert core.binom2k_numerators(ell, m) == b2k
+
+
+def test_shift_row_cache_matches_fresh_rows_along_any_n_order():
+    core._shift_rows.cache_clear()
+    for ell in CACHED_SHIFTS:
+        # grow, read a prefix, grow past the cached length, read back
+        for m in (3, 0, 17, 5, 30, 1, 12, 30, 31):
+            _check_shift_rows(ell, m)
+    # the shifts interleaved, one n at a time, as a sweep visits them
+    for m in (40, 2, 33):
+        for ell in CACHED_SHIFTS:
+            _check_shift_rows(ell, m)
+
+
+def test_shift_row_cache_is_bounded():
+    from knuthsums.catalog import DEFAULT_ELL_GRID
+
+    maxsize = core._shift_rows.cache_info().maxsize
+    assert maxsize is not None and maxsize >= len(DEFAULT_ELL_GRID)
+    core._shift_rows.cache_clear()
+    shifts = [F(j, 7) for j in range(-2 * maxsize, 2 * maxsize)]
+    for ell in shifts:
+        core.prop1_terms(9, ell)
+        assert core._shift_rows.cache_info().currsize <= maxsize
+    # an evicted shift is rebuilt with the same values
+    assert core._shift_rows.cache_info().currsize == maxsize
+    for ell in shifts[:3]:
+        _check_shift_rows(ell, 12)
+
+
+def test_returned_rows_are_fresh_lists():
+    for ell in (F(1, 3), F(-5, 2), -2):
+        b2k = core.binom2k_numerators(ell, 8)
+        expected = list(b2k)
+        b2k[3] = 0
+        b2k.append(1)
+        assert core.binom2k_numerators(ell, 8) == expected
+        upper = core.gbinom_numerators(5 + F(ell), 6)
+        upper_expected = list(upper)
+        upper.clear()
+        assert core.gbinom_numerators(5 + F(ell), 6) == upper_expected
+        for kernel in (core.prop1_terms, core.prop2_terms):
+            if kernel is core.prop2_terms and ell == -2:
+                continue  # choose(k+l, k) vanishes
+            terms, den = kernel(8, ell)
+            expected_terms = list(terms)
+            terms[:] = [0] * len(terms)
+            assert kernel(8, ell) == (expected_terms, den)
+        _check_shift_rows(ell, 8)
+
+
 def test_harmonic_values():
     assert core.harmonic(0) == 0
     assert core.harmonic(2) == F(3, 2)

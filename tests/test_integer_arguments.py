@@ -1,13 +1,16 @@
-"""The closed forms that build their Gamma arguments and Pochhammer bases
-from integer pairs agree with the Fraction-argument versions they
-replaced, kept below as oracles: same value, or the same ValueError."""
+"""The closed forms that build their Gamma arguments, Pochhammer bases and
+shifted binomials from integer pairs agree with the Fraction-argument
+versions they replaced, kept below as oracles: same value, or the same
+error."""
 
+import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knuthsums import legendre
+from knuthsums import abel, catalog, legendre
 from knuthsums.core import is_nonpositive_integer, pochhammer
 from knuthsums.gammaprod import GammaExpr, gauss_second_rhs, reduce
 from knuthsums.hyper import kummer_even, kummer_odd_zero
@@ -48,6 +51,29 @@ def _kummer_odd_zero_by_fractions(n, a):
     if is_nonpositive_integer(c) and -int(c) <= 2 * n + 1:
         raise ValueError(f"lower parameter 2a={c} hits a vanishing Pochhammer")
     return F(0)
+
+
+def _gbinom_by_fractions(a, m):
+    """choose(a, m) as a product of Fraction factors over m!."""
+    return math.prod((F(a) - i for i in range(m)), start=F(1)) / math.factorial(m)
+
+
+def _prop1_rhs_by_fractions(n, ell):
+    if n % 2:
+        return F(0)
+    return _gbinom_by_fractions(n + F(ell), n // 2) / 2**n
+
+
+def _prop2_rhs_by_fractions(n, ell):
+    if n % 2:
+        return F(0)
+    return F(math.comb(n, n // 2), 2**n) / _gbinom_by_fractions(n // 2 + F(ell), n // 2)
+
+
+def _abel1_rhs_by_fractions(n, ell):
+    if n % 2:
+        return F(0)
+    return -F(n, 2**n) * _gbinom_by_fractions(n + F(ell), n // 2)
 
 
 def _outcome(f, *args):
@@ -117,3 +143,51 @@ def test_kummer_even_matches_fraction_arguments(n, a):
 @example(-1, 1)
 def test_kummer_odd_zero_matches_fraction_arguments(n, a):
     assert _outcome(kummer_odd_zero, n, a) == _outcome(_kummer_odd_zero_by_fractions, n, a)
+
+
+# shifts with denominators <= 9, negative integers and half-integers, each
+# integer value as an int half the time
+SHIFTS = st.one_of(
+    _rational(st.integers(-40, 40), st.integers(1, 9)),
+    _rational(st.integers(-40, -1), st.just(1)),
+    _rational(st.integers(-40, 40), st.just(2)),
+)
+SHIFTED_RHS = {
+    "prop1": (catalog.prop1_rhs, _prop1_rhs_by_fractions),
+    "prop2": (catalog.prop2_rhs, _prop2_rhs_by_fractions),
+    "abel1": (abel.abel1_rhs, _abel1_rhs_by_fractions),
+}
+
+
+def _rhs_outcome(f, n, ell):
+    """("value", value, type) of f(n, ell), or ("zero-division",)."""
+    try:
+        value = f(n, ell)
+    except ZeroDivisionError:
+        return ("zero-division",)
+    return "value", value, type(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SHIFTED_RHS)), st.integers(0, 40), SHIFTS)
+@example("prop2", 4, -2)  # choose(n/2+l, n/2) vanishes
+@example("prop2", 4, -3)  # the first integer below the zeros
+@example("prop1", 40, F(-81, 2))
+@example("abel1", 0, F(1, 9))
+def test_shifted_rhs_matches_gbinom_form(name, n, ell):
+    integer_form, fraction_form = SHIFTED_RHS[name]
+    assert _rhs_outcome(integer_form, n, ell) == _rhs_outcome(fraction_form, n, ell)
+
+
+def test_prop2_rhs_raises_exactly_where_its_binomial_vanishes():
+    shifts = [*range(-25, 6), F(-7, 2), F(-1, 2), F(-9, 4), F(5, 3)]
+    for n in range(0, 41, 2):
+        for ell in shifts:
+            if _gbinom_by_fractions(n // 2 + F(ell), n // 2) == 0:
+                with pytest.raises(ZeroDivisionError):
+                    catalog.prop2_rhs(n, ell)
+            else:
+                assert catalog.prop2_rhs(n, ell) == _prop2_rhs_by_fractions(n, ell)
+    # the zeros are the integers -n/2 <= l <= -1 and no others
+    raising = [ell for ell in shifts if _rhs_outcome(catalog.prop2_rhs, 40, ell) == ("zero-division",)]
+    assert raising == list(range(-20, 0))
