@@ -15,15 +15,13 @@ compact support below the cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import as_rational, exact_sum, gbinom_pair, pochhammer, prop1_terms
 
 
-@dataclass(frozen=True)
-class SequencePair:
+class SequencePair(NamedTuple):
     """Two sequences A, B (total on 0..cutoff+1) and a truncation index."""
 
     A: Callable[[int], Fraction]

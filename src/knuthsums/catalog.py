@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import abel, legendre
 from .core import CertificateDenominatorZero, exact_sum, format_rational, gbinom_pair
@@ -54,8 +54,7 @@ class Identity:
     validity: Callable[..., bool] = field(default=lambda **params: True)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one (identity, parameter assignment) check."""
 
     identity: str
@@ -472,13 +471,17 @@ def run_sweep(
 
 def sort_reports(reports: list[VerificationReport], ell_grid: tuple[Fraction, ...]) -> None:
     """Sort reports in place by (identity, n, shift) on integer keys: a
-    shift is keyed by its rank in the sorted grid, so no two Fractions are
-    compared.  Within one n the x points come in increasing order already,
-    and the sort is stable."""
-    rank = {ell: r for r, ell in enumerate(sorted(ell_grid))}
+    shift is keyed by its rank in the sorted grid, looked up by its
+    (numerator, denominator), so no Fraction is hashed and reports compare
+    only strings and integers.  Within one n the x points come in
+    increasing order already, and the sort is stable."""
+    rank = {(ell.numerator, ell.denominator): r for r, ell in enumerate(sorted(ell_grid))}
 
     def key(rep: VerificationReport) -> tuple[str, int, int]:
         (_, n), *rest = rep.params
-        return rep.identity, n, rank[rest[0][1]] if rest and rest[0][0] == "ell" else 0
+        if rest and rest[0][0] == "ell":
+            ell = rest[0][1]
+            return rep.identity, n, rank[ell.numerator, ell.denominator]
+        return rep.identity, n, 0
 
     reports.sort(key=key)

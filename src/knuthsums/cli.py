@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import catalog
 from .catalog import DEFAULT_ELL_GRID, REGISTRY, Identity, VerificationReport, run_sweep
@@ -87,34 +87,84 @@ def _sweep_grid(args) -> tuple[int, tuple[Fraction, ...]]:
     return args.n_max, _parse_grid(args.ell)
 
 
-def _params_compact(rec: dict) -> str:
-    return ";".join(f"{k}={v}" for k, v in rec["params"].items())
+@lru_cache(maxsize=256)
+def _json_string(text: str) -> str:
+    """`text` as the JSON string literal `json.dumps` writes: quoted, and
+    escaped to ASCII only when it has to be."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
+def _param_fragments(name: str, value: int | Fraction) -> tuple[str, str]:
+    """One parameter as a JSON member (`"ell": "1/2"`, `"n": 3`) and as
+    compact text (`ell=1/2`)."""
+    if isinstance(value, int):
+        return f"{_json_string(name)}: {value}", f"{name}={value}"
+    text = format_rational(value)
+    return f'{_json_string(name)}: "{text}"', f"{name}={text}"
+
+
+def _rows(reports: Iterable[VerificationReport]) -> Iterator[tuple]:
+    """The row form of each report, from which every format is written:
+    (identity, params as JSON members, params as compact text, lhs, rhs,
+    status, micros, reason), each side as `p/q` text or None.
+
+    Each distinct parameter value is formatted once per call (a shift is
+    found by its integer pair, so no Fraction is hashed), and each side
+    once, whatever the format.
+    """
+    fragments: dict[tuple, tuple[str, str]] = {}
+    for identity, params, lhs, rhs, status, reason, micros in reports:
+        members, texts = [], []
+        for name, value in params:
+            key = (name, value) if isinstance(value, int) else (name, value.numerator, value.denominator)
+            pair = fragments.get(key)
+            if pair is None:
+                pair = fragments[key] = _param_fragments(name, value)
+            members.append(pair[0])
+            texts.append(pair[1])
+        yield (
+            identity, ", ".join(members), ";".join(texts),
+            None if lhs is None else format_rational(lhs),
+            None if rhs is None else format_rational(rhs),
+            status, micros, reason,
+        )
+
+
+def _json_lines(rows: Iterable[tuple]) -> Iterator[str]:
+    """Each row as the line `json.dumps(report.to_record())` writes, built
+    directly: default separators, ASCII only, the record's key order."""
+    for identity, members, _, lhs, rhs, status, micros, reason in rows:
+        lhs = "null" if lhs is None else f'"{lhs}"'
+        rhs = "null" if rhs is None else f'"{rhs}"'
+        end = f', "reason": {_json_string(reason)}}}\n' if reason else "}\n"
+        yield (
+            f'{{"identity": {_json_string(identity)}, "params": {{{members}}}, '
+            f'"lhs": {lhs}, "rhs": {rhs}, "status": {_json_string(status)}, '
+            f'"micros": {micros}{end}'
+        )
 
 
 def _emit(reports: list[VerificationReport], fmt: str, out) -> None:
-    records = [r.to_record() for r in reports]
+    """Write the reports in `fmt`, streaming one line per report."""
     if fmt == "json":
-        for rec in records:
-            out.write(json.dumps(rec) + "\n")
+        out.writelines(_json_lines(_rows(reports)))
         return
     if fmt == "tsv":
         out.write("\t".join(TSV_COLUMNS) + "\n")
-        for rec in records:
-            row = (
-                rec["identity"],
-                _params_compact(rec),
-                str(rec["lhs"]),
-                str(rec["rhs"]),
-                rec["status"],
-                str(rec["micros"]),
-            )
-            out.write("\t".join(row) + "\n")
+        out.writelines(
+            f"{identity}\t{text}\t{lhs}\t{rhs}\t{status}\t{micros}\n"
+            for identity, _, text, lhs, rhs, status, micros, _ in _rows(reports)
+        )
         return
-    # summary
+    # summary: counts per identity, then a line for each failing case
     by_name: dict[str, dict[str, int]] = {}
-    for rec in records:
-        tally = by_name.setdefault(rec["identity"], {"pass": 0, "fail": 0, "skip": 0})
-        tally[rec["status"]] += 1
+    for rep in reports:
+        tally = by_name.setdefault(rep.identity, {"pass": 0, "fail": 0, "skip": 0})
+        tally[rep.status] += 1
     width = max((len(n) for n in by_name), default=8)
     out.write(f"{'identity'.ljust(width)}  cases  pass  fail  skip\n")
     totals = {"pass": 0, "fail": 0, "skip": 0}
@@ -130,12 +180,11 @@ def _emit(reports: list[VerificationReport], fmt: str, out) -> None:
         f"{'TOTAL'.ljust(width)}  {sum(totals.values()):5d}  {totals['pass']:4d}  "
         f"{totals['fail']:4d}  {totals['skip']:4d}\n"
     )
-    for rec in records:
-        if rec["status"] == "fail":
-            out.write(
-                f"FAIL {rec['identity']} [{_params_compact(rec)}] "
-                f"lhs={rec['lhs']} rhs={rec['rhs']} {rec.get('reason', '')}\n"
-            )
+    failed = _rows(rep for rep in reports if rep.status == "fail")
+    out.writelines(
+        f"FAIL {identity} [{text}] lhs={lhs} rhs={rhs} {reason}\n"
+        for identity, _, text, lhs, rhs, _, _, reason in failed
+    )
 
 
 def _exit_code(reports: list[VerificationReport]) -> int:
@@ -206,6 +255,8 @@ def cmd_wz(args) -> int:
 
 
 def cmd_list(args) -> int:
+    import json
+
     entries = [
         {
             "name": name,

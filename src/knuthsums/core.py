@@ -25,7 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only: `\d` alone would also match other scripts' digits,
+# which Fraction accepts
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 
 class CertificateDenominatorZero(ZeroDivisionError):

@@ -2,15 +2,20 @@
 
 import collections
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 import knuthsums
 from knuthsums import cli, wz
-from knuthsums.catalog import REGISTRY
+from knuthsums.catalog import REGISTRY, VerificationReport
 from knuthsums.core import format_rational, parse_rational
 
 
@@ -121,6 +126,18 @@ def test_empty_list_entry_is_config_error(capsys):
             assert "empty --ell grid" in err
 
 
+def test_non_ascii_digits_are_config_error(capsys):
+    # `\d` alone matches the Arabic-Indic digits of `٣/٤`, which Fraction
+    # reads as 3/4
+    for literal in ("٣/٤", "1/٤", "３", "-٣"):
+        with pytest.raises(ValueError):
+            parse_rational(literal)
+    for sub in ("verify", "wz"):
+        code, out, err = run_cli(capsys, sub, "--n-max", "1", "--ell=1/2,٣/٤", "--format", "json")
+        assert (code, out) == (2, ""), sub
+        assert "not an exact rational literal" in err and "٣/٤" in err
+
+
 def test_fail_fast_prefix_and_order_with_unsorted_grid(capsys, monkeypatch):
     argv = ["verify", "--identity", "all", "--n-max", "12", "--ell=7/5,-1/3,2,-2,1/2",
             "--format", "json", "--fail-fast"]
@@ -214,6 +231,51 @@ def test_json_records_round_trip(capsys):
             continue
         assert format_rational(ident.lhs(**params)) == rec["lhs"]
         assert format_rational(ident.rhs(**params)) == rec["rhs"]
+
+
+# reports as `catalog.verify` builds them and beyond: any identity text,
+# int and Fraction values for the usual parameter names (few distinct ones,
+# so that values repeat across reports), sides that are None or not, every
+# status, and reasons that need JSON escapes
+_PARAM_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=40),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+)
+_REPORTS = st.builds(
+    VerificationReport,
+    identity=st.one_of(st.sampled_from(sorted(REGISTRY)), st.text()),
+    params=st.lists(
+        st.tuples(st.sampled_from(("n", "m", "ell", "x")), _PARAM_VALUES),
+        min_size=1, max_size=3, unique_by=lambda param: param[0],
+    ).map(tuple),
+    lhs=st.one_of(st.none(), st.fractions()),
+    rhs=st.one_of(st.none(), st.fractions()),
+    status=st.sampled_from(("pass", "fail", "skip")),
+    reason=st.one_of(
+        st.sampled_from(
+            ("", "lhs != rhs", 'evaluator error: "q"', "a \\ b", "two\nlines", "ℓ = ½", "\x7f\t")
+        ),
+        st.text(),
+    ),
+    micros=st.integers(min_value=0, max_value=10**9),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_REPORTS, max_size=6))
+@example([
+    # one shift as an int and as a Fraction: a memo keyed on the value alone
+    # would print the second like the first
+    VerificationReport("prop1-general-ell", (("n", 2), ("ell", 3)), F(1), F(1), "pass"),
+    VerificationReport("prop1-general-ell", (("n", 2), ("ell", F(3))), F(1), None, "fail", "x"),
+    VerificationReport("prop1-general-ell", (("n", 3), ("ell", 3)), None, None, "skip", "é\"\n"),
+])
+def test_json_lines_match_json_dumps(reports):
+    out = io.StringIO()
+    cli._emit(reports, "json", out)
+    assert out.getvalue().splitlines(keepends=True) == [
+        json.dumps(rep.to_record()) + "\n" for rep in reports
+    ]
 
 
 def test_output_deterministic_across_jobs(capsys):

@@ -6,7 +6,9 @@ exactly the "same results" of the design rule: every record's identity,
 parameters, both sides, status and reason, in order, plus the exit code.
 The fifth runs `main` of `perfbench/closed_forms.py`, whose records carry
 no timing, over Kummer, Gauss-second and Legendre-moment draws: the only
-golden run that reaches `hyper`, `gammaprod` and `legendre`.
+golden run that reaches `hyper`, `gammaprod` and `legendre`.  The
+`verify --n-max 40` and `wz --n-max 20` runs are pinned once more in
+`--format tsv` (micros column dropped) and `--format summary`.
 
 When a change moves one of these hashes, find the first differing record
 by running the same command on the parent commit and on the change, e.g.
@@ -76,6 +78,34 @@ GOLDEN = [
 ]
 IDS = ("verify-n40", "wz-n20", "wz-n6-poles", "wz-n8-pole-grid")
 
+# `--format tsv` and `--format summary` of the first two runs, which the
+# JSON digests above do not reach: the tsv digest drops each line's last
+# column (micros), the summary digest is of the output as printed.  The
+# summary of `wz --n-max 20` lists its 410 failing cases, reasons included.
+TEXT_GOLDEN = [
+    (
+        ("verify", "--identity", IDENTITIES, "--n-max", "40", "--format", "tsv"),
+        0,
+        "291749cb07b9ccd419469d3dc310b5de07c11dd3329b5ffc0d5068ec42ef05f4",
+    ),
+    (
+        ("verify", "--identity", IDENTITIES, "--n-max", "40", "--format", "summary"),
+        0,
+        "e006e951b90413fd4ba55e3667dab450cc0554e69ed6a36d200b1eb50f5365b0",
+    ),
+    (
+        ("wz", "--n-max", "20", "--format", "tsv"),
+        1,
+        "28cf676635b8308c7c5342639c00aa9ae1ce99cdc6b1df6f5b6c962478174b01",
+    ),
+    (
+        ("wz", "--n-max", "20", "--format", "summary"),
+        1,
+        "a3491f0ced0b6fd03c79f8170b4db4c8fd73b407cc5a653b05d856e36ba2789e",
+    ),
+]
+TEXT_IDS = ("verify-n40-tsv", "verify-n40-summary", "wz-n20-tsv", "wz-n20-summary")
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 # the draws of the benchmark's closed-forms workload at seed 1: 2F1(2)
 # Kummer series for n <= 20, Gauss-second series for n <= 20 and Legendre
@@ -101,6 +131,13 @@ def output_digest(out: str) -> str:
     return hashlib.sha256("\n".join(records).encode()).hexdigest()
 
 
+def text_digest(out: str, fmt: str) -> str:
+    """sha256 of tsv output without its micros column, or of summary output."""
+    if fmt == "tsv":
+        out = "".join(line.rsplit("\t", 1)[0] + "\n" for line in out.splitlines())
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=IDS)
 def test_output_matches_golden(capsys, argv, code, digest):
     got_code = cli.main(list(argv))
@@ -110,6 +147,17 @@ def test_output_matches_golden(capsys, argv, code, digest):
         f"output of `{command}` changed; run it on the parent commit and on "
         f"this change and diff the two (micros dropped) to find the first "
         f"differing record"
+    )
+
+
+@pytest.mark.parametrize("argv, code, digest", TEXT_GOLDEN, ids=TEXT_IDS)
+def test_text_output_matches_golden(capsys, argv, code, digest):
+    got_code = cli.main(list(argv))
+    got = text_digest(capsys.readouterr().out, argv[-1])
+    command = "PYTHONPATH=src python -m knuthsums " + " ".join(argv)
+    assert (got_code, got) == (code, digest), (
+        f"output of `{command}` changed; diff it against the parent commit's "
+        f"(for tsv, with the micros column cut)"
     )
 
 
@@ -141,6 +189,11 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(out):
             code = cli.main(list(argv))
         print(name, code, output_digest(out.getvalue()))
+    for name, (argv, _, _) in zip(TEXT_IDS, TEXT_GOLDEN):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        print(name, code, text_digest(out.getvalue(), argv[-1]))
     sys.path.insert(0, PERFBENCH)
     import closed_forms
 

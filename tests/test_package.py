@@ -1,5 +1,6 @@
 """The package namespace: submodules load only when they are used."""
 
+import json
 import os
 import subprocess
 import sys
@@ -77,6 +78,37 @@ def test_closed_forms_load_no_dataclasses():
         "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))\n"
     )
     assert _python(code).splitlines()[-1] == ""
+
+
+def test_verify_and_wz_runs_load_no_json():
+    # `verify` and `wz` write their JSON lines themselves
+    for argv in (
+        ("verify", "--identity", "knuth-old-sum", "--n-max", "1", "--format", "json"),
+        ("wz", "--certificate", "prop1", "--n-max", "1", "--format", "json"),
+    ):
+        code = (
+            "import sys\n"
+            + _cli_run(*argv)
+            + "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'json')))\n"
+        )
+        assert _python(code).splitlines()[-1] == "", argv
+
+
+def test_list_prints_json():
+    # `list` is the one subcommand that imports json
+    from knuthsums.catalog import REGISTRY
+
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['knuthsums', 'list', '--format', 'json']\n"
+        "try:\n"
+        "    runpy.run_module('knuthsums', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+    entries = json.loads(_python(code))
+    assert [e["name"] for e in entries] == sorted(REGISTRY)
+    assert all(e["params"] == list(REGISTRY[e["name"]].param_names) for e in entries)
 
 
 def test_moment_loads_gammaprod_on_first_call():
