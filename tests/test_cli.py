@@ -261,7 +261,7 @@ _REPORTS = st.builds(
 )
 
 
-@settings(max_examples=300)
+@settings(max_examples=120)
 @given(st.lists(_REPORTS, max_size=6))
 @example([
     # one shift as an int and as a Fraction: a memo keyed on the value alone
