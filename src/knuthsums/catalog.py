@@ -10,6 +10,7 @@ equality, no tolerances anywhere.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -452,8 +453,9 @@ def run_sweep(
         return reports
 
     # a pool forks all its workers at the first submit: ask for no more
-    # than there are cases
-    workers = min(jobs, len(cases))
+    # than there are cases, nor than the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(cases), cpus or 1)
     if workers <= 1:
         reports = collect(map(_verify_case, cases))
     else:

@@ -191,10 +191,9 @@ def _shift_rows(a: int, b: int) -> tuple[list[int], list[int]]:
     return [1], [1]
 
 
-def _grown_rows(ell: Fraction | int, m: int) -> tuple[list[int], list[int]]:
-    """The cached rows of `_shift_rows` for l, grown through k = m.  They
-    are shared by every caller: read them, never mutate them."""
-    a, b = ell.numerator, ell.denominator
+def _grown_rows(a: int, b: int, m: int) -> tuple[list[int], list[int]]:
+    """The cached rows of `_shift_rows` for l = a/b, grown through k = m.
+    They are shared by every caller: read them, never mutate them."""
     b2k, reflected = _shift_rows(a, b)
     for k in range(len(b2k), m + 1):
         b2k.append(math.prod(range(2 * a + 2 * k * b, 2 * a + k * b, -b)))
@@ -210,21 +209,26 @@ def binom2k_numerators(ell: Fraction | int, m: int) -> list[int]:
     M_k = (2a+2kb) (2a+2kb-b) ... (2a+kb+b), one product per entry, read
     from the per-shift cache as a fresh list.
     """
-    return _grown_rows(as_rational(ell), m)[0][: m + 1]
+    ell = as_rational(ell)
+    return _grown_rows(ell.numerator, ell.denominator, m)[0][: m + 1]
 
 
 def prop1_terms(n: int, ell: Fraction | int) -> tuple[list[int], int]:
     """The terms of sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k)
-    as integers over one common denominator.
-
-    With l = a/b, choose(n+l, n-k) = U_{n-k} / (b^(n-k) (n-k)!), U built
-    from n+l = (nb+a)/b, and choose(2k+2l, k) = M_k / (b^k k!), so the
-    k-th term is (-1)^k 2^(n-k) C(n,k) U_{n-k} M_k over 2^n b^n n!.
-    """
+    as integers over one common denominator (`prop1_row` of l's pair)."""
     ell = as_rational(ell)
-    a, b = ell.numerator, ell.denominator
+    return prop1_row(n, ell.numerator, ell.denominator)
+
+
+def prop1_row(n: int, a: int, b: int) -> tuple[list[int], int]:
+    """`prop1_terms` at l = a/b, for b > 0.
+
+    choose(n+l, n-k) = U_{n-k} / (b^(n-k) (n-k)!), U built from
+    n+l = (nb+a)/b, and choose(2k+2l, k) = M_k / (b^k k!), so the k-th
+    term is (-1)^k 2^(n-k) C(n,k) U_{n-k} M_k over 2^n b^n n!.
+    """
     upper = _falling_numerators(n * b + a, b, n)
-    b2k = _grown_rows(ell, n)[0]
+    b2k = _grown_rows(a, b, n)[0]
     terms = [math.comb(n, k) * upper[n - k] * b2k[k] << (n - k) for k in range(n + 1)]
     terms[1::2] = [-t for t in terms[1::2]]  # the sign (-1)^k
     return terms, 2**n * b**n * math.factorial(n)
@@ -232,19 +236,25 @@ def prop1_terms(n: int, ell: Fraction | int) -> tuple[list[int], int]:
 
 def prop2_terms(n: int, ell: Fraction | int) -> tuple[list[int], int]:
     """The terms of sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k)
-    as integers over one common denominator.
+    as integers over one common denominator (`prop2_row` of l's pair)."""
+    ell = as_rational(ell)
+    return prop2_row(n, ell.numerator, ell.denominator)
+
+
+def prop2_row(n: int, a: int, b: int) -> tuple[list[int], int]:
+    """`prop2_terms` at l = a/b, for b > 0.
 
     choose(k+l, k) = (-1)^k choose(-l-1, k), and that sign cancels the one
-    in (-1/2)^k.  With l = a/b, choose(-l-1, k) = Q_k / (b^k k!) and
+    in (-1/2)^k.  choose(-l-1, k) = Q_k / (b^k k!) and
     choose(2k+2l, k) = M_k / (b^k k!), so the k-th term is
     C(n,k) M_k / (2^k Q_k); Q_k divides Q_n, so it is the integer
     C(n,k) M_k 2^(n-k) Q_n/Q_k over 2^n Q_n.  Raises ValueError where
     choose(k+l, k) vanishes for some k <= n.
     """
-    ell = as_rational(ell)
-    b2k, reflected = _grown_rows(ell, n)
+    b2k, reflected = _grown_rows(a, b, n)
     top = reflected[n]
     if top == 0:
+        ell = a if b == 1 else f"{a}/{b}"
         raise ValueError(f"choose(k+l,k) vanishes at k={reflected.index(0)} for l={ell}")
     terms = [math.comb(n, k) * b2k[k] * (top // reflected[k]) << (n - k) for k in range(n + 1)]
     return terms, 2**n * top

@@ -1,8 +1,7 @@
 """Wilf-Zeilberger certificate checking on exact-rational grids.
 
-A WZ pair is a normalized summand F(n, k) with compact k-support together
-with a rational-function certificate R(n, k); the companion G = R * F must
-satisfy
+A WZ pair is a normalized summand F(n, k) with compact k-support and a
+rational-function certificate R(n, k); the companion G = R * F must satisfy
 
     F(n+1, k) - F(n, k) = G(n, k+1) - G(n, k)
 
@@ -16,18 +15,21 @@ the factor 1/Gamma(2n-k+1) inside F cancels through
 
     (k-2n-1)(k-2n-2) Gamma(2n-k+1) = Gamma(2n-k+3).
 
-Every pair is built by `_pair` from one spec and reads everything from
-one integer row bundle per (pair, n, l), cached by `_rows`: row n of F (a
-registered identity's own summand at index 2n, from `core.prop1_terms` or
-`core.prop2_terms`, times a normalisation free of k) and row n of G over
-k = 0..2n+2, each over one denominator.  G is R * F where R is finite and
-the cancelled limit at the two boundary points, so the pair equation can
-be verified at every grid point, boundary included.  `residual_grid`
-tests each k of the rows as an integer and hands a nonzero k, or one that
-reads a boundary pole of G, to the pointwise `wz_residual`.  Evaluating a
-bare certificate where its denominator vanishes (and nothing cancels)
-raises CertificateDenominatorZero, which callers report separately from a
-nonzero residual.
+Every pair is built by `_pair` from integer kernels over the shift
+l = a/b: `terms` (`core.prop1_row` or `core.prop2_row`, a registered
+identity's own summand at index 2n) gives a row of integers over one
+denominator, and `rest` (the factors of a term free of n) and `norm` (a
+normalisation free of k) each give one (numerator, denominator) pair.
+From them `_rows` builds and caches one bundle per (pair, n, a, b): row n
+of F and row n of G over k = 0..2n+2, boundary limits included, each over
+one integer denominator.  G is R * F where R is finite and the cancelled
+limit at the two boundary points, so the pair equation can be verified at
+every grid point.  `residual_grid` tests each k of the rows as an integer
+and hands a nonzero k, or one that reads a boundary pole of G, to the
+pointwise `wz_residual`; a Fraction is built only where a value is
+returned.  Evaluating a bare certificate where its denominator vanishes
+(and nothing cancels) raises CertificateDenominatorZero, which callers
+report separately from a nonzero residual.
 """
 
 from __future__ import annotations
@@ -37,15 +39,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
-from .core import CertificateDenominatorZero, gbinom, prop1_terms, prop2_terms
+from .core import CertificateDenominatorZero, _grown_rows, as_rational, gbinom_pair
+from .core import prop1_row, prop2_row
+
+# for annotations only: a pair's pointwise functions of (n, k, l), and its
+# integer kernels over l = a/b, a row of terms over one denominator and a
+# (numerator, denominator) pair
+if TYPE_CHECKING:
+    Pointwise = Callable[[int, int, Fraction], Fraction]
+    TermRow = Callable[[int, int, int], tuple[list[int], int]]
+    Kernel = Callable[[int, int, int], tuple[int, int]]
 
 
 class Rows(NamedTuple):
-    """Row n of a pair at one shift l, in integers: F(n, k) = f[k] / f_den
-    for k = 0..2n, and G(n, k) = g[k] / g_den for k = 0..2n+2 except at a
-    boundary pole, where g holds 0 and `poles` maps k to the reason."""
+    """Row n of a pair at one shift l, in integers: F(n, k) = f[k] / f_den,
+    f_den of either sign, for k = 0..2n, and G(n, k) = g[k] / g_den for
+    k = 0..2n+2 but at a boundary pole: g holds 0, `poles` maps k to why."""
 
     f: tuple[int, ...]
     f_den: int
@@ -63,17 +74,14 @@ class WZPair:
     holds; outside it they may raise any error."""
 
     name: str
-    F: Callable[[int, int, Fraction], Fraction]
-    R: Callable[[int, int, Fraction], Fraction]
-    G: Callable[[int, int, Fraction], Fraction]
+    F: Pointwise
+    R: Pointwise
+    G: Pointwise
     defined: Callable[[int, Fraction], bool]
     rows: Callable[[int, Fraction], Rows]
 
 
-def naive_companion(
-    F: Callable[[int, int, Fraction], Fraction],
-    R: Callable[[int, int, Fraction], Fraction],
-) -> Callable[[int, int, Fraction], Fraction]:
+def naive_companion(F: Pointwise, R: Pointwise) -> Pointwise:
     """G = R * F taken literally: zero wherever F is zero, and
     CertificateDenominatorZero when F is nonzero where R blows up.  Every
     registered pair's companion is this rule away from the two boundary
@@ -88,106 +96,97 @@ def naive_companion(
     return g
 
 
-def _numerator(k: int, ell: Fraction, offset: int) -> Fraction:
-    """-k(k+offset+2l), the certificate numerator."""
-    return Fraction(-k) * ((k + offset) + 2 * ell)
-
-
 @lru_cache(maxsize=4)
 def _rows(
-    terms: Callable[[int, Fraction], tuple[list[int], int]],
-    rest: Callable[[int, Fraction], Fraction],
-    shift: Callable[[Fraction], Fraction],
-    norm: Callable[[int, Fraction], Fraction],
-    offset: int,
-    n: int,
-    ell: Fraction,
+    terms: TermRow, rest: Kernel, norm: Kernel, shifted: bool, offset: int, n: int, a: int, b: int
 ) -> Rows:
-    """The row bundle of the pair `_pair` builds from this spec, at (n, l).
+    """The row bundle of the pair `_pair` builds from this spec, at n and
+    l = a/b, from integer pairs alone: no Fraction is built.
 
-    With l = a/b, G(n, k) = -k((k+offset)b+2a) F(n, k) / (b j(j+1)) on the
-    support, j = 2n+1-k.  j and j+1 are coprime and at most 2n+2, so
-    j(j+1) divides lcm(1..2n+2), and f_den b lcm(1..2n+2) is a common
-    denominator of G's support row; the two boundary limits join it
-    through one more lcm.  A residual check at n reads rows n and n+1 and
-    the row sum row n, so a sweep along n keeps hitting a handful of
-    bundles.
+    Row n of F is the integers of terms(2n, a, b), each times 4^n and
+    norm's numerator, over f_den, the product of the two denominators.  On
+    the support G(n, k) = -k((k+offset)b+2a) F(n, k) / (b j(j+1)) with
+    j = 2n+1-k, and j(j+1) divides L = lcm(1..2n+2); one lcm joins
+    f_den b L to the denominators of the two boundary limits, one integer
+    pair each, into g_den.  A residual check at n reads rows n and n+1 and
+    the row sum row n, so a sweep along n keeps hitting a handful of bundles.
     """
-    nums, den = terms(2 * n, ell)
-    scale = norm(n, ell)
-    f = tuple(t * scale.numerator for t in nums)
-    f_den = den * scale.denominator
-    a, b = ell.numerator, ell.denominator
+    nums, den = terms(2 * n, a, b)
+    scale, scale_den = norm(n, a, b)
+    scale <<= 2 * n  # the 4^n every pair carries
+    f = tuple(t * scale for t in nums)
+    f_den = den * scale_den
     lcm = math.lcm(*range(1, 2 * n + 3))
     g = [
         -k * ((k + offset) * b + 2 * a) * f[k] * (lcm // ((2 * n + 1 - k) * (2 * n + 2 - k)))
         for k in range(2 * n + 1)
     ]
     g_den = f_den * b * lcm
-    s = shift(ell)
+    s = a if shifted else 0  # the row shift is s/b
     poles: dict[int, str] = {}
-    limits = []
+    limits, factors = [], 1
     for k in (2 * n + 1, 2 * n + 2):
-        factors = [top + s for top in range(2 * n + 1, k + 1)]
-        if 0 in factors:
-            top = 2 * n + 1 + factors.index(0)
-            poles[k] = f"Gamma ratio factor {top}+l vanishes at k={k}, l={s}"
-            limits.append(Fraction(0))
+        factors *= k * b + s  # prod_{t=2n+1}^{k} (tb + s), the Gamma ratio times b^(k-2n)
+        if factors:
+            num, rest_den = rest(k, a, b)
+            num *= -k * ((k + offset) * b + 2 * a) * scale * b ** (k - 2 * n)
+            limits.append((num, b * rest_den * scale_den * factors))
         else:
-            limits.append(_numerator(k, ell, offset) * rest(k, ell) * scale / math.prod(factors))
-    common = math.lcm(g_den, *(v.denominator for v in limits))
-    g = [x * (common // g_den) for x in g] + [v.numerator * (common // v.denominator) for v in limits]
+            # tb + a = 0 with a, b coprime needs b = 1: the factor is t = -a
+            poles[k] = f"Gamma ratio factor {-a}+l vanishes at k={k}, l={a}"
+            limits.append((0, 1))
+    # lcm is never negative; num * (common // d) keeps a negative d's sign
+    common = math.lcm(g_den, *(d for _, d in limits))
+    g = [x * (common // g_den) for x in g] + [num * (common // d) for num, d in limits]
     # the bundle is shared by every caller of the cache, so it is read-only
     return Rows(f, f_den, tuple(g), common, MappingProxyType(poles))
 
 
 def _pair(
-    name: str,
-    terms: Callable[[int, Fraction], tuple[list[int], int]],
-    rest: Callable[[int, Fraction], Fraction],
-    shift: Callable[[Fraction], Fraction],
-    norm: Callable[[int, Fraction], Fraction],
-    defined: Callable[[int, Fraction], bool],
-    offset: int = 0,
+    name: str, terms: TermRow, rest: Kernel, norm: Kernel, shifted: bool,
+    defined: Callable[[int, Fraction], bool], offset: int = 0,
 ) -> WZPair:
     """The pair whose summand is the registered summand `terms` at index
-    2n, normalised by a factor free of k:
+    2n, normalised by a factor free of k.  With l = a/b:
 
-        F(n,k) = terms(2n, l)[k] * norm(n, l)
+        F(n,k) = terms(2n, a, b)[k] 4^n norm(n, a, b)
         R(n,k) = -k(k+offset+2l) / ((k-2n-1)(k-2n-2))
 
-    The k-th term is rest(k, l), the factors free of n, times the row
-    entry choose(2n+s, 2n-k) = Gamma(2n+s+1) / (Gamma(k+s+1) Gamma(2n-k+1))
-    with s = shift(l).  G is R * F (`naive_companion(F, R)`) at every k
-    except k = 2n+1, 2n+2.  There R has its pole and F its zero, and G is
-    the limit, with the row entry continued past the support:
+    The kernels are integer: `terms` gives a row of integers over one
+    denominator, `rest` and `norm` a (numerator, denominator) pair whose
+    denominator, of either sign, is nonzero where the pair is defined.
+    The k-th term is rest(k, a, b), the factors free of n, times
+    choose(2n+s, 2n-k) = Gamma(2n+s+1) / (Gamma(k+s+1) Gamma(2n-k+1)),
+    with the row shift s = l if `shifted`, else 0.  G is R * F
+    (`naive_companion(F, R)`) except at k = 2n+1, 2n+2, where R has its
+    pole and F its zero; there G is the limit, the row entry continued:
 
-        G(n,k) = -k(k+offset+2l) rest(k, l) norm(n, l)
-                 / prod_{t=2n+1}^{k} (t+s)
+        G(n,k) = -k(k+offset+2l) rest(k, a, b) 4^n norm(n, a, b) / prod_{t=2n+1}^{k} (t+s)
 
-    A vanishing factor of that product is a pole: G raises
-    CertificateDenominatorZero there.  F lives on k = 0..2n and G on
-    k = 1..2n+2.  F and G read row n from the bundle `_rows` caches for
-    (n, l), boundary limits included, and build one Fraction per call, so
-    like the bundle they are evaluated only where defined(n, l) holds.
+    A vanishing factor t+s is a pole, where G raises
+    CertificateDenominatorZero.  F (on k = 0..2n) and G (on k = 1..2n+2)
+    read row n from the bundle `_rows` caches for (n, a, b) and build one
+    Fraction per call; like the bundle, they are evaluated only where
+    defined(n, l) holds.
     """
 
-    def rows(n: int, ell: Fraction) -> Rows:
-        return _rows(terms, rest, shift, norm, offset, n, ell)
+    def rows(n: int, ell: Fraction | int) -> Rows:
+        return _rows(terms, rest, norm, shifted, offset, n, ell.numerator, ell.denominator)
 
-    def F(n: int, k: int, ell: Fraction) -> Fraction:
+    def F(n: int, k: int, ell: Fraction | int) -> Fraction:
         if k < 0 or k > 2 * n:
             return Fraction(0)
         row = rows(n, ell)
         return Fraction(row.f[k], row.f_den)
 
-    def R(n: int, k: int, ell: Fraction) -> Fraction:
+    def R(n: int, k: int, ell: Fraction | int) -> Fraction:
         den = (k - 2 * n - 1) * (k - 2 * n - 2)
         if den == 0:
             raise CertificateDenominatorZero(f"certificate denominator vanishes at n={n}, k={k}")
-        return _numerator(k, ell, offset) / den
+        a, b = ell.numerator, ell.denominator
+        return Fraction(-k * ((k + offset) * b + 2 * a), b * den)
 
-    def G(n: int, k: int, ell: Fraction) -> Fraction:
+    def G(n: int, k: int, ell: Fraction | int) -> Fraction:
         if k < 0 or k > 2 * n + 2:
             return Fraction(0)
         row = rows(n, ell)
@@ -198,9 +197,18 @@ def _pair(
     return WZPair(name, F, R, G, defined, rows)
 
 
-def _head(k: int, ell: Fraction) -> Fraction:
-    """(-1/2)^k choose(2k+2l, k), the factor every pair's term carries."""
-    return Fraction(-1, 2) ** k * gbinom(2 * k + 2 * ell, k)
+def _signed_rest(k: int, a: int, b: int) -> tuple[int, int]:
+    """(-1/2)^k choose(2k+2l, k) = (-1)^k M_k / (2^k b^k k!): the factor
+    free of n in the terms of prop1 and of the control."""
+    m = _grown_rows(a, b, k)[0][k]
+    return -m if k % 2 else m, b**k * math.factorial(k) << k
+
+
+def _reflected_rest(k: int, a: int, b: int) -> tuple[int, int]:
+    """(-1/2)^k choose(2k+2l, k) / choose(k+l, k) = M_k / (2^k Q_k): the
+    factor free of n in prop2's terms."""
+    b2k, reflected = _grown_rows(a, b, k)
+    return b2k[k], reflected[k] << k
 
 
 def register_prop1_certificate() -> WZPair:
@@ -209,13 +217,12 @@ def register_prop1_certificate() -> WZPair:
         F(n,k) = (-1/2)^k choose(2n+l, k+l) choose(2k+2l, k) 4^n / choose(2n+l, n)
     """
     return _pair(
-        "prop1",
-        prop1_terms,
-        _head,
-        lambda ell: ell,
-        lambda n, ell: 4**n / gbinom(2 * n + ell, n),
+        "prop1", prop1_row, _signed_rest,
+        # 1 / choose(2n+l, n), choose(2n+l, n) being the pair of (2nb+a, b)
+        lambda n, a, b: gbinom_pair(2 * n * b + a, b, n)[::-1],
+        shifted=True,
         # choose(2n+l, n) vanishes exactly at the integers -2n <= l <= -n-1
-        defined=lambda n, ell: ell.denominator != 1 or not -2 * n <= ell <= -n - 1,
+        defined=lambda n, ell: ell.denominator != 1 or not -2 * n <= ell.numerator <= -n - 1,
     )
 
 
@@ -226,13 +233,13 @@ def register_prop2_certificate() -> WZPair:
                  / (choose(k+l, k) C(2n,n))
     """
     return _pair(
-        "prop2",
-        prop2_terms,
-        lambda k, ell: _head(k, ell) / gbinom(k + ell, k),
-        lambda ell: Fraction(0),
-        lambda n, ell: 4**n * gbinom(n + ell, n) / math.comb(2 * n, n),
+        "prop2", prop2_row, _reflected_rest,
+        # choose(n+l, n) / C(2n, n) = P / (b^n n! C(2n, n)), with P / (b^n n!)
+        # the pair of (nb+a, b) and n! C(2n, n) = (2n)! / n!
+        lambda n, a, b: (gbinom_pair(n * b + a, b, n)[0], b**n * math.perm(2 * n, n)),
+        shifted=False,
         # choose(k+l, k) = (l+1)_k / k! must stay nonzero through k = 2n+2
-        defined=lambda n, ell: ell.denominator != 1 or not -(2 * n + 2) <= ell <= -1,
+        defined=lambda n, ell: ell.denominator != 1 or not -(2 * n + 2) <= ell.numerator <= -1,
     )
 
 
@@ -241,11 +248,9 @@ def negative_control() -> WZPair:
     row sums grow with n) and the certificate numerator is corrupted to
     k(k+2l+1).  Both the residual check and the row-sum check must fail."""
     return _pair(
-        "negative-control",
-        prop1_terms,
-        _head,
-        lambda ell: ell,
-        lambda n, ell: Fraction(4**n),
+        "negative-control", prop1_row, _signed_rest,
+        lambda n, a, b: (1, 1),
+        shifted=True,
         defined=lambda n, ell: True,
         offset=1,
     )
@@ -263,15 +268,10 @@ def _undefined(pair: WZPair, n: int, ell: Fraction) -> CertificateDenominatorZer
 def wz_residual(pair: WZPair, n: int, k: int, ell: Fraction | int) -> Fraction:
     """F(n+1,k) - F(n,k) - G(n,k+1) + G(n,k); zero iff the pair equation
     holds at this point."""
-    ell = Fraction(ell)
+    ell = as_rational(ell)
     if not (pair.defined(n, ell) and pair.defined(n + 1, ell)):
         raise _undefined(pair, n, ell)
-    return (
-        pair.F(n + 1, k, ell)
-        - pair.F(n, k, ell)
-        - pair.G(n, k + 1, ell)
-        + pair.G(n, k, ell)
-    )
+    return pair.F(n + 1, k, ell) - pair.F(n, k, ell) - pair.G(n, k + 1, ell) + pair.G(n, k, ell)
 
 
 def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
@@ -283,7 +283,7 @@ def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
     reads a boundary pole of G, is evaluated by `wz_residual`, which
     returns that residual or raises that pole.
     """
-    ell = Fraction(ell)
+    ell = as_rational(ell)
     if not (pair.defined(n, ell) and pair.defined(n + 1, ell)):
         raise _undefined(pair, n, ell)
     lo, hi = pair.rows(n, ell), pair.rows(n + 1, ell)
@@ -300,7 +300,7 @@ def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
 
 def row_sum(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
     """sum_k F(n, k) over row n's support k = 0..2n; 1 for a verified pair."""
-    ell = Fraction(ell)
+    ell = as_rational(ell)
     if not pair.defined(n, ell):
         raise _undefined(pair, n, ell)
     row = pair.rows(n, ell)

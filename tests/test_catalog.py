@@ -5,6 +5,7 @@ import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -385,35 +386,58 @@ def test_run_sweep_fail_fast_prefix_independent_of_jobs(monkeypatch):
         assert strip(run_sweep(names, 30, jobs=2, fail_fast=True)) == strip(serial)
 
 
+class RecordingExecutor:
+    """A stand-in ProcessPoolExecutor that records the size it is asked
+    for and runs the cases in this process, so no worker is started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
 def test_run_sweep_asks_for_no_more_workers_than_cases(monkeypatch):
-    # a stand-in executor that records its size and runs the cases in
-    # this process, so no worker is ever started
     sizes = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
+    monkeypatch.setattr(RecordingExecutor, "sizes", sizes)
 
     def lhs_values(n_max, jobs):
         return [r.lhs for r in run_sweep(["knuth-old-sum"], n_max, jobs=jobs)]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    # enough CPUs that the number of cases is what bounds the pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert lhs_values(3, jobs=64) == lhs_values(3, jobs=1)
     assert sizes == [4]  # four cases, n = 0..3
     assert lhs_values(0, jobs=64) == [1]
     assert sizes == [4]  # one case runs serially: no executor at all
+
+
+@pytest.mark.parametrize("cpus, expected", [(3, [3]), (1, [])])
+def test_run_sweep_asks_for_no_more_workers_than_cpus(monkeypatch, cpus, expected):
+    # --jobs 5000 must not ask for 5000 workers: the pool is capped at the
+    # CPUs this process may run on, and one CPU runs the sweep serially
+    def strip(reports):
+        return [(r.identity, r.params, r.lhs, r.rhs, r.status, r.reason) for r in reports]
+
+    names = ["knuth-old-sum", "prop1-general-ell"]
+    serial = run_sweep(names, 12, jobs=1)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert strip(run_sweep(names, 12, jobs=5000)) == strip(serial)
+    assert RecordingExecutor.sizes == expected
 
 
 def test_run_sweep_rejects_unknown_names():

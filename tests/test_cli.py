@@ -304,6 +304,36 @@ def test_skips_reported_not_passed(capsys):
     assert statuses[1] == statuses[2] == statuses[3] == "skip"
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit")
+@pytest.mark.parametrize("status", ["pass", "fail"])
+@pytest.mark.parametrize("fmt", ["json", "tsv", "summary"])
+def test_sides_beyond_the_int_string_limit_are_written(capsys, monkeypatch, fmt, status):
+    # str(int) refuses more than 4300 digits by default (Python 3.11), and
+    # a sweep such as gf-polynomial at n = 800 has sides that long: the
+    # output must still be written whole, after the sweep has finished
+    side = F(10**5000 + 1, 7)
+    digits = "1" + "0" * 4999 + "1"  # its numerator, written without str(int)
+    report = VerificationReport(
+        "knuth-old-sum", (("n", 800),), side, side if status == "pass" else side + 1, status,
+        "" if status == "pass" else "lhs != rhs",
+    )
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: [report])
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever ran before
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--identity", "knuth-old-sum", "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == (0 if status == "pass" else 1)
+    if fmt == "json":
+        assert json.loads(out)["lhs"] == f"{digits}/7"
+    elif fmt == "tsv":
+        assert out.splitlines()[1].split("\t")[2] == f"{digits}/7"
+    else:
+        assert "TOTAL" in out
+        assert (f"lhs={digits}/7 " in out) == (status == "fail")
+
+
 def test_summary_format(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--identity", "knuth-old-sum", "--n-max", "5"

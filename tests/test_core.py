@@ -192,7 +192,7 @@ def _check_shift_rows(ell, m):
     """Both cached rows of ell through k = m against the per-entry products
     and against gbinom: M_k of choose(2k+2l, k), Q_k of choose(-l-1, k)."""
     a, b = ell.numerator, ell.denominator
-    b2k, reflected = (row[: m + 1] for row in core._grown_rows(ell, m))
+    b2k, reflected = (row[: m + 1] for row in core._grown_rows(a, b, m))
     assert b2k == [math.prod(range(2 * a + 2 * k * b, 2 * a + k * b, -b)) for k in range(m + 1)]
     assert reflected == [math.prod(range(-a - b, -a - b - k * b, -b)) for k in range(m + 1)]
     assert _over(b2k, b) == [core.gbinom(2 * k + 2 * ell, k) for k in range(m + 1)]

@@ -1,6 +1,6 @@
-"""Golden output: five canonical runs must keep printing the same records.
+"""Golden output: six canonical runs must keep printing the same records.
 
-Four runs go through `cli.main` in-process.  The `micros` field of every
+Five runs go through `cli.main` in-process.  The `micros` field of every
 record (wall-clock timing) is dropped before hashing, so what is pinned is
 exactly the "same results" of the design rule: every record's identity,
 parameters, both sides, status and reason, in order, plus the exit code.
@@ -75,8 +75,16 @@ GOLDEN = [
         1,
         "2ea6ebef06632f3f1a024c914192badc110c97394f557d8dbb28e58304a5bbdb",
     ),
+    (
+        # the reasons of every skip path: boundary poles ("Gamma ratio
+        # factor 1+l vanishes ..." at l = -1), undefined pairs at -2 and
+        # -3, and the control's failures at negative and generic shifts
+        ("wz", "--n-max", "8", "--ell=-1,-2,-3,-5/2,1/3", "--format", "json"),
+        1,
+        "32f64e7a4065401c2a38c0f96920f95b2b521c05b0f308bfd51619acb6e0611e",
+    ),
 ]
-IDS = ("verify-n40", "wz-n20", "wz-n6-poles", "wz-n8-pole-grid")
+IDS = ("verify-n40", "wz-n20", "wz-n6-poles", "wz-n8-pole-grid", "wz-n8-skip-reasons")
 
 # `--format tsv` and `--format summary` of the first two runs, which the
 # JSON digests above do not reach: the tsv digest drops each line's last

@@ -1,18 +1,25 @@
 """WZ certificate checks: pair equation on the widened grid, telescoped row
 sums, boundary conventions, and the negative controls."""
 
+import contextlib
+import io
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knuthsums import wz
+from knuthsums import cli, wz
 from knuthsums.catalog import DEFAULT_ELL_GRID
 from knuthsums.core import gbinom
 
 PAIRS = wz.certificates()
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 BOUNDARY_SHIFTS = (F(0), F(1, 2), F(-1, 3), F(7, 5), F(-5, 2))
 
 
@@ -54,6 +61,82 @@ def test_companion_is_certificate_times_summand():
                     assert pair.G(n, k, ell) == limit, (name, n, k, ell)
                     points += 1
     assert points == 180
+
+
+# each pair's term at k as gbinoms, without the row entry choose(2n+s, 2n-k):
+# (row shift is l, numerator offset, the factors free of n, normalisation)
+BOUNDARY_SPECS = {
+    "prop1": (True, 0, lambda k, ell: F(1), lambda n, ell: 1 / gbinom(2 * n + ell, n)),
+    "prop2": (
+        False,
+        0,
+        lambda k, ell: 1 / gbinom(k + ell, k),
+        lambda n, ell: gbinom(n + ell, n) / math.comb(2 * n, n),
+    ),
+    "negative-control": (True, 1, lambda k, ell: F(1), lambda n, ell: F(1)),
+}
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=0, max_value=8),
+    st.builds(F, st.integers(min_value=-30, max_value=30), st.integers(min_value=1, max_value=9)),
+)
+@example(0, F(-1))
+@example(2, F(-5))
+@example(2, F(-6))
+@example(8, F(-17))
+@example(8, F(-18))
+@example(3, F(-9, 2))
+def test_boundary_limits_match_gbinom_form_at_any_shift(n, ell):
+    # the limit at k = 2n+1, 2n+2 with the Gamma ratio
+    # Gamma(2n+s+1) / Gamma(k+s+1) = 1 / ((k-2n)! choose(k+s, k-2n)), which
+    # holds at negative integer shifts too; where that binomial vanishes,
+    # at s = -t for a t in 2n+1..k, G has a pole and names it
+    for name, (shifted, offset, rest, norm) in BOUNDARY_SPECS.items():
+        pair = PAIRS[name]
+        if not pair.defined(n, ell):
+            continue
+        s = ell if shifted else F(0)
+        for k in (2 * n + 1, 2 * n + 2):
+            ratio = gbinom(k + s, k - 2 * n) * math.factorial(k - 2 * n)
+            if ratio == 0:
+                message = f"Gamma ratio factor {-s}+l vanishes at k={k}, l={s}"
+                with pytest.raises(wz.CertificateDenominatorZero) as err:
+                    pair.G(n, k, ell)
+                assert str(err.value) == message, (name, n, k, ell)
+                continue
+            limit = (
+                -k * (k + offset + 2 * ell) * F(-1, 2) ** k * gbinom(2 * k + 2 * ell, k)
+                * rest(k, ell) * 4**n * norm(n, ell) / ratio
+            )
+            assert pair.G(n, k, ell) == limit, (name, n, k, ell)
+
+
+def test_wz_run_needs_no_gbinom():
+    # the row bundles are built from integer pairs: a wz run in a fresh
+    # interpreter whose core.gbinom raises before wz is imported prints
+    # what the run here prints
+    argv = ["wz", "--n-max", "8", "--format", "json"]
+    code = (
+        "import sys\n"
+        "from knuthsums import core\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('core.gbinom called')\n"
+        "core.gbinom = refuse\n"
+        "from knuthsums import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        expected_code = cli.main(argv)
+    assert (run.returncode, run.stderr) == (expected_code, "") == (1, "")
+    micros = re.compile(r', "micros": \d+')
+    # compared as lists of lines, which pytest reports by their first difference
+    got, expected = (micros.sub("", text).splitlines() for text in (run.stdout, out.getvalue()))
+    assert got == expected
 
 
 def test_companion_vanishes_at_k_zero():
