@@ -58,8 +58,16 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def as_rational(x) -> Fraction | int:
-    """x itself when it is already an int or a Fraction, else Fraction(x)."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+    """x itself when it is already an int or a Fraction, else Fraction(x).
+
+    A binary float is refused: 0.1 is not 1/10 but the nearest binary
+    fraction, so it would be evaluated at the wrong point without a word.
+    """
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"binary float {x!r} is not exact: pass a Fraction or a 'p/q' string")
+    return Fraction(x)
 
 
 class Record:

@@ -1,10 +1,11 @@
 """Exact reduction of formal products of Gamma factors at rational arguments.
 
-A GammaExpr is scalar * prod_i Gamma(a_i)^{e_i} with rational a_i and
-integer e_i.  Reduction groups the factors whose arguments differ by
-integers and writes each against the group's smallest argument b = p/q:
+One kernel, `reduce_triples`, reduces (num/den) * prod Gamma(p/q)^e given
+as an integer pair and integer triples (p, q, e).  It groups the arguments
+that differ by integers and writes each against its group's smallest
+argument b = p0/q:
 
-    Gamma(b + s) / Gamma(b) = (b)_s = p (p+q) ... (p+(s-1)q) / q^s.
+    Gamma(b + s) / Gamma(b) = (b)_s = p0 (p0+q) ... (p0+(s-1)q) / q^s.
 
 What remains is evaluated in closed form: Gamma at positive integers as
 factorials, Gamma at half-integers through
@@ -12,9 +13,12 @@ factorials, Gamma at half-integers through
     Gamma(m + 1/2) = (2m-1)!! sqrt(pi) / 2^m             (m >= 0)
     Gamma(1/2 - m) = (-2)^m sqrt(pi) / (2m-1)!!           (m >= 1)
 
-Every factor is an integer over an integer, so the rational part is kept
-as one integer numerator and one integer denominator (a negative exponent
-swaps the two) and a single `Fraction` is built for the result.
+Every factor is an integer over an integer, so the rational part is one
+integer numerator over one integer denominator and a single `Fraction` is
+built for the result.  The closed forms (`gauss_second_rhs`, and
+`legendre.moment`) pass their triples straight to the kernel; `reduce`
+feeds it from a `GammaExpr`, the formal product over rational arguments,
+which the kernel itself builds only for an Irreducible residual.
 
 The result is one of: Finite(q, s) meaning q * pi^(s/2); Zero (a Gamma
 pole survived in denominator position); Pole (one survived in the
@@ -28,31 +32,31 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import Record, as_rational, is_nonpositive_integer
-
-HALF = Fraction(1, 2)
+from .core import Record, as_rational
 
 
 class GammaExpr:
-    """Formal product scalar * prod Gamma(arg)^exp; duplicate args merge."""
+    """Formal product scalar * prod Gamma(arg)^exp over rational arguments
+    and integer exponents (an int, or a Fraction with denominator 1).
+    Duplicate arguments merge and the factors are sorted by argument, so
+    equal products compare equal."""
 
     __slots__ = ("factors", "scalar")
 
     def __init__(self, factors, scalar: Fraction | int = 1) -> None:
         items = factors.items() if isinstance(factors, dict) else factors
-        # keyed by (numerator, denominator): int pairs hash and compare
-        # faster than Fractions
-        merged: dict[tuple[int, int], list] = {}
+        merged: dict[Fraction | int, int] = {}
         for arg, exp in items:
+            if not isinstance(exp, int):
+                if not isinstance(exp, Fraction) or exp.denominator != 1:
+                    raise ValueError(f"GammaExpr exponent must be an integer, got {exp}")
+                exp = exp.numerator
             a = as_rational(arg)
-            merged.setdefault((a.numerator, a.denominator), [a, 0])[1] += int(exp)
+            merged[a] = merged.get(a, 0) + exp
         s = as_rational(scalar)
         if s == 0:
             raise ValueError("GammaExpr scalar must be nonzero")
-        # p/q sorts as the integer p * (lcm // q) over the common denominator
-        lcm = math.lcm(*(q for _, q in merged))
-        ordered = sorted((p * (lcm // q), a, e) for (p, q), (a, e) in merged.items() if e)
-        self.factors: tuple[tuple[Fraction | int, int], ...] = tuple((a, e) for _, a, e in ordered)
+        self.factors = tuple(sorted((a, e) for a, e in merged.items() if e))
         self.scalar: Fraction | int = s
 
     def __eq__(self, other: object) -> bool:
@@ -136,38 +140,35 @@ def _times(num: int, den: int, x: int, y: int, e: int) -> tuple[int, int]:
     return num * x**e, den * y**e
 
 
-def reduce(expr: GammaExpr) -> GammaValue:
-    """Reduce a Gamma product to a GammaValue.
+def reduce_triples(num: int, den: int, triples) -> GammaValue:
+    """Reduce (num/den) * prod Gamma(p/q)^e over integer triples (p, q, e),
+    p/q in lowest terms and q > 0, to a GammaValue.
 
-    The rational part is one integer pair num/den, starting from the
-    scalar.  Factors are grouped by (p mod q, q) of their argument p/q, so
-    a group's arguments differ by integers.  Integer arguments go one by
-    one: a positive one multiplies in (p-1)!; a nonpositive one is a pole
-    of Gamma and classifies the whole product on its own.  In any other
-    group each argument p/q is (b)_s Gamma(b) with b = p0/q the group's
-    smallest argument and (b)_s = prod(range(p0, p, q)) / q^s; the product
-    of these is taken segment by segment between consecutive arguments,
-    each segment raised to the sum of the exponents at and above it.  The
-    Gamma(b)^net left over is evaluated when b is a half-integer
-    (`_half_pair`, one factor of pi^(1/2) each) and kept otherwise.  A
-    negative exponent multiplies into the other side of the pair.  These
-    cancellations are exact and happen before any pole classification.
-    Distinct surviving nonpositive-integer arguments are never merged with
-    each other: a pole in numerator and denominator at once is a 0 * inf
-    that we refuse to resolve, hence Irreducible.  One `Fraction` is built,
-    for Finite's value or for Irreducible's scalar.
+    Repeated arguments merge first (a net exponent 0 drops the factor); the
+    rest are grouped by (p mod q, q).  Integer arguments go one by one: a
+    positive one multiplies in (p-1)!; a nonpositive one is a pole of Gamma
+    and classifies the whole product on its own.  Any other group is sorted
+    by p, and each argument p/q is (b)_s Gamma(b) with b = p0/q the group's
+    smallest argument and (b)_s = prod(range(p0, p, q)) / q^s, taken segment
+    by segment between consecutive arguments, each segment raised to the
+    sum of the exponents at and above it.  The Gamma(b)^net left over is
+    evaluated when b is a half-integer (`_half_pair`, one factor of
+    pi^(1/2) each) and kept otherwise.  A negative exponent multiplies into
+    the other side of the pair (`_times`).  These cancellations are exact
+    and happen before any pole classification.  Distinct surviving poles
+    are never merged: a pole in numerator and denominator at once is a
+    0 * inf that we refuse to resolve, hence Irreducible.
     """
-    num, den = expr.scalar.numerator, expr.scalar.denominator
-    pi_halves = 0  # result carries pi^(pi_halves/2)
-    num_pole = False
-    den_pole = False
-    leftover: list[tuple[Fraction, int]] = []
-
-    # factors are sorted by argument, so each group's members are too
+    merged: dict[tuple[int, int], int] = {}
+    for p, q, e in triples:
+        merged[p, q] = merged.get((p, q), 0) + e
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for arg, exp in expr.factors:
-        p, q = arg.numerator, arg.denominator
-        groups.setdefault((p % q, q), []).append((p, exp))
+    for (p, q), e in merged.items():
+        if e:
+            groups.setdefault((p % q, q), []).append((p, e))
+    pi_halves = 0  # result carries pi^(pi_halves/2)
+    num_pole = den_pole = False
+    leftover: list[tuple[int, int, int]] = []  # surviving (p, q, e)
 
     for (_, q), members in groups.items():
         if q == 1:
@@ -179,6 +180,7 @@ def reduce(expr: GammaExpr) -> GammaValue:
                 else:
                     den_pole = True
             continue
+        members.sort()
         net = sum(exp for _, exp in members)
         tail = net
         for (lo, exp), (hi, _) in zip(members, members[1:]):
@@ -193,25 +195,26 @@ def reduce(expr: GammaExpr) -> GammaValue:
             num, den = _times(num, den, *_half_pair(base), net)
             pi_halves += net
         else:
-            leftover.append((Fraction(base, q), net))
+            leftover.append((base, q, net))
 
     if num_pole and den_pole:
-        if pi_halves:
-            leftover.append((HALF, pi_halves))
-        for arg, exp in expr.factors:
-            if is_nonpositive_integer(arg):
-                leftover.append((arg, exp))
-        return Irreducible(GammaExpr(leftover, Fraction(num, den)))
-    if num_pole:
+        leftover += [(p, 1, e) for (p, q), e in merged.items() if q == 1 and p <= 0 and e]
+    elif num_pole:
         return Pole()
-    if den_pole:
+    elif den_pole:
         return Zero()
-    rational = Fraction(num, den)
-    if leftover:
-        if pi_halves:
-            leftover.append((HALF, pi_halves))
-        return Irreducible(GammaExpr(leftover, rational))
-    return Finite(rational, pi_halves)
+    if not leftover:
+        return Finite(Fraction(num, den), pi_halves)
+    if pi_halves:
+        leftover.append((1, 2, pi_halves))
+    return Irreducible(GammaExpr([(Fraction(p, q), e) for p, q, e in leftover], Fraction(num, den)))
+
+
+def reduce(expr: GammaExpr) -> GammaValue:
+    """Reduce a GammaExpr: `reduce_triples` over its scalar and factors."""
+    s = expr.scalar
+    triples = [(a.numerator, a.denominator, e) for a, e in expr.factors]
+    return reduce_triples(s.numerator, s.denominator, triples)
 
 
 def gauss_second_rhs(a: Fraction | int, b: Fraction | int) -> GammaValue:
@@ -219,20 +222,16 @@ def gauss_second_rhs(a: Fraction | int, b: Fraction | int) -> GammaValue:
 
         sqrt(pi) Gamma((a+b+1)/2) / (Gamma((a+1)/2) Gamma((b+1)/2))
 
-    built as a Gamma product (sqrt(pi) = Gamma(1/2)) and reduced.  With
-    a = p/q and b = r/s the three arguments are the integer pairs
-    (ps + rq + qs)/(2qs), (p + q)/(2q) and (r + s)/(2s).
+    reduced as a Gamma product (sqrt(pi) = Gamma(1/2)).  With a = p/q and
+    b = r/s the three arguments are (ps + rq + qs)/(2qs), (p + q)/(2q) and
+    (r + s)/(2s), each brought to lowest terms by one gcd.
     """
     a = as_rational(a)
     b = as_rational(b)
     p, q = a.numerator, a.denominator
     r, s = b.numerator, b.denominator
-    expr = GammaExpr(
-        [
-            (HALF, 1),
-            (Fraction(p * s + r * q + q * s, 2 * q * s), 1),
-            (Fraction(p + q, 2 * q), -1),
-            (Fraction(r + s, 2 * s), -1),
-        ]
-    )
-    return reduce(expr)
+    triples = [(1, 2, 1)]
+    for x, y, e in ((p * s + r * q + q * s, 2 * q * s, 1), (p + q, 2 * q, -1), (r + s, 2 * s, -1)):
+        g = math.gcd(x, y)
+        triples.append((x // g, y // g, e))
+    return reduce_triples(1, 1, triples)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import Record, as_rational, is_nonpositive_integer
+from .core import Record, as_rational
 
 
 class HyperSeries(Record):
@@ -46,20 +46,25 @@ class HyperSeries(Record):
     termination_index: int
 
     def __init__(self, upper, lower, argument) -> None:
-        upper = tuple(as_rational(u) for u in upper)
-        lower = tuple(as_rational(l) for l in lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "argument", as_rational(argument))
-        witnesses = [-u.numerator for u in upper if is_nonpositive_integer(u)]
-        if not witnesses:
+        rational = (int, Fraction)
+        upper = tuple([u if isinstance(u, rational) else as_rational(u) for u in upper])
+        lower = tuple([l if isinstance(l, rational) else as_rational(l) for l in lower])
+        if not isinstance(argument, rational):
+            argument = as_rational(argument)
+        n = -1
+        for u in upper:
+            if u.denominator == 1 and u.numerator <= 0 and (n < 0 or -u.numerator < n):
+                n = -u.numerator
+        if n < 0:
             raise ValueError("series does not terminate: no nonpositive integer upper parameter")
-        n = min(witnesses)
         for b in lower:
-            if is_nonpositive_integer(b) and -b.numerator <= n:
+            if b.denominator == 1 and -n <= b.numerator <= 0:
                 raise ValueError(
                     f"lower parameter {b} makes a denominator Pochhammer vanish within range"
                 )
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "argument", argument)
         object.__setattr__(self, "termination_index", n)
 
 
@@ -89,7 +94,8 @@ def eval_terminating(series: HyperSeries) -> Fraction:
         den = den_scale * k
         for p, q in lower:
             den *= p + (k - 1) * q
-        a, b = b * den + num * a, b * den
+        b *= den
+        a = b + num * a
     return Fraction(a, b)
 
 
@@ -138,5 +144,5 @@ def prop2_as_2f1(n: int, ell: Fraction | int) -> HyperSeries:
     """The normalized shifted sum written hypergeometrically: 2F1[-n, l+1/2; 2l+1 | 2]."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    ell = Fraction(ell)
+    ell = as_rational(ell)
     return HyperSeries((-n, ell + Fraction(1, 2)), (2 * ell + 1,), 2)

@@ -61,25 +61,20 @@ def shifted_legendre(n: int) -> ShiftedLegendre:
 def moment(p: Fraction | int, n: int) -> gammaprod.GammaValue:
     """int_0^1 x^p P_n(2x-1) dx as the reduced Gamma product
     Gamma(p+1)^2 / (Gamma(p-n+1) Gamma(p+n+2)), for rational p > -1 and
-    n >= 0.  With p = a/d the arguments are the integer pairs (a+d)/d,
-    (a+(1-n)d)/d and (a+(n+2)d)/d."""
+    n >= 0.  With p = a/d the arguments are the integer triples
+    (a+d, d, 2), (a+(1-n)d, d, -1) and (a+(n+2)d, d, -1), each in lowest
+    terms as gcd(a + jd, d) = gcd(a, d) = 1."""
     # the only user of gammaprod here: the registry's LHSs never load it
     from . import gammaprod
 
     p = as_rational(p)
     a, d = p.numerator, p.denominator
     if a <= -d:
-        raise ValueError(f"moment requires p > -1, got {Fraction(a, d)}")
+        raise ValueError(f"moment requires p > -1, got {p}")
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    expr = gammaprod.GammaExpr(
-        [
-            (Fraction(a + d, d), 2),
-            (Fraction(a + (1 - n) * d, d), -1),
-            (Fraction(a + (n + 2) * d, d), -1),
-        ]
-    )
-    return gammaprod.reduce(expr)
+    triples = [(a + d, d, 2), (a + (1 - n) * d, d, -1), (a + (n + 2) * d, d, -1)]
+    return gammaprod.reduce_triples(1, 1, triples)
 
 
 def moment_by_expansion(p: Fraction | int, n: int) -> Fraction:
@@ -89,10 +84,10 @@ def moment_by_expansion(p: Fraction | int, n: int) -> Fraction:
     With p = a/d the j-th term is coeffs[j] d / (a + (j+1) d), summed
     by `core.exact_sum`.
     """
-    p = Fraction(p)
-    if p <= -1:
-        raise ValueError(f"moment requires p > -1, got {p}")
+    p = as_rational(p)
     a, d = p.numerator, p.denominator
+    if a <= -d:
+        raise ValueError(f"moment requires p > -1, got {p}")
     return exact_sum((c * d, a + (j + 1) * d) for j, c in enumerate(shifted_legendre(n).coeffs))
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knuthsums import core
+from knuthsums import core, gammaprod, hyper, legendre
 
 rationals = st.builds(
     F, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=12)
@@ -283,3 +283,35 @@ def test_parse_rational():
 @given(rationals)
 def test_format_parse_round_trip(q):
     assert core.parse_rational(core.format_rational(q)) == q
+
+
+FLOAT_CALLS = {
+    "as_rational": lambda: core.as_rational(0.1),
+    "kummer_even": lambda: hyper.kummer_even(1, 0.1),
+    "kummer_odd_zero": lambda: hyper.kummer_odd_zero(1, 0.1),
+    "HyperSeries upper": lambda: hyper.HyperSeries((-2, 0.1), (1,), 2),
+    "HyperSeries lower": lambda: hyper.HyperSeries((-2, 1), (0.5,), 2),
+    "HyperSeries argument": lambda: hyper.HyperSeries((-2, 1), (1,), 0.5),
+    "prop2_as_2f1": lambda: hyper.prop2_as_2f1(2, 0.5),
+    "gauss_second_rhs a": lambda: gammaprod.gauss_second_rhs(0.1, 1),
+    "gauss_second_rhs b": lambda: gammaprod.gauss_second_rhs(-2, 0.5),
+    "GammaExpr scalar": lambda: gammaprod.GammaExpr([(1, 1)], scalar=0.5),
+    "GammaExpr argument": lambda: gammaprod.GammaExpr([(0.5, 1)]),
+    "moment": lambda: legendre.moment(0.1, 2),
+    "moment_by_expansion": lambda: legendre.moment_by_expansion(0.1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CALLS))
+def test_binary_floats_are_refused(name):
+    # 0.1 is 3602879701896397/36028797018963968, not 1/10: evaluating there
+    # silently would answer a question nobody asked
+    with pytest.raises(TypeError, match="Fraction or a 'p/q' string"):
+        FLOAT_CALLS[name]()
+
+
+def test_exact_values_are_still_accepted():
+    assert core.as_rational("1/10") == F(1, 10)
+    assert core.as_rational(3) == 3 and core.as_rational(F(1, 10)) == F(1, 10)
+    assert hyper.kummer_even(1, "1/10") == hyper.kummer_even(1, F(1, 10)) == F(5, 6)
+    assert legendre.moment("1/2", 1) == legendre.moment(F(1, 2), 1)

@@ -70,6 +70,18 @@ def test_scalar_must_be_nonzero():
         GammaExpr([(1, 1)], scalar=0)
 
 
+def test_exponent_must_be_an_integer():
+    # a Fraction exponent was truncated, so Gamma(5/2)^(3/2) read as
+    # Gamma(5/2) and reduced to a wrong Finite
+    with pytest.raises(ValueError, match="exponent must be an integer, got 3/2"):
+        GammaExpr([(F(5, 2), F(3, 2))])
+    for bad in (1.0, 0.5, "2"):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            GammaExpr([(2, bad)])
+    assert GammaExpr([(F(5, 2), F(2))]) == GammaExpr({F(5, 2): 2})
+    assert reduce(GammaExpr([(F(5, 2), F(-4, 2))])) == Finite(F(16, 9), -2)
+
+
 def test_gamma_values_are_immutable_value_types():
     residual = GammaExpr([(F(1, 3), 1), (F(1, 2), 2)], scalar=F(2))
     values = [Finite(F(2, 3), 0), Finite(F(-3, 4), 1), Zero(), Pole(), Irreducible(residual)]

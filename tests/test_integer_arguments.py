@@ -10,9 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knuthsums import abel, catalog, legendre
+from knuthsums import abel, catalog, gammaprod, legendre
 from knuthsums.core import is_nonpositive_integer, pochhammer
-from knuthsums.gammaprod import GammaExpr, gauss_second_rhs, reduce
+from knuthsums.gammaprod import (
+    Finite,
+    GammaExpr,
+    Irreducible,
+    Pole,
+    Zero,
+    gauss_second_rhs,
+    reduce,
+)
 from knuthsums.hyper import kummer_even, kummer_odd_zero
 
 HALF = F(1, 2)
@@ -191,3 +199,84 @@ def test_prop2_rhs_raises_exactly_where_its_binomial_vanishes():
     # the zeros are the integers -n/2 <= l <= -1 and no others
     raising = [ell for ell in shifts if _rhs_outcome(catalog.prop2_rhs, 40, ell) == ("zero-division",)]
     assert raising == list(range(-20, 0))
+
+
+# The closed forms hand `gammaprod.reduce_triples` integer triples; the
+# route they replaced built one Fraction per Gamma argument and reduced a
+# GammaExpr (the `_by_fractions` oracles above).  Each example list below
+# is annotated with the GammaValue kind it reaches.
+TRIPLE_DENOMINATORS = [1, 2, 3, 4, 5, 7, 9]
+GAUSS_EXAMPLES = [
+    (-2, 2),  # Finite, rational
+    (1, 1),  # Finite with a factor of pi
+    (F(-3), F(1, 3)),  # Zero: an odd upper index
+    (HALF, F(-7, 2)),  # Pole
+    (F(1, 3), F(1, 5)),  # Irreducible
+    (-3, -2),  # Irreducible: poles on both sides
+]
+MOMENT_EXAMPLES = [
+    (F(1, 3), 0),  # n = 0: the first two arguments merge
+    (0, 0),
+    (2, 5),  # Zero
+    (F(-8, 9), 24),
+]
+
+
+def _examples(cases):
+    def wrap(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+
+    return wrap
+
+
+def _moment_argument(d):
+    """p = a/d > -1, as an int half the time when d = 1."""
+    return _rational(st.integers(1 - d, 40), st.just(d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _rational(st.integers(-40, 40), st.sampled_from(TRIPLE_DENOMINATORS)),
+    _rational(st.integers(-40, 40), st.sampled_from(TRIPLE_DENOMINATORS)),
+)
+@_examples(GAUSS_EXAMPLES)
+def test_gauss_second_rhs_triples_match_gamma_expr_route(a, b):
+    # GammaValue equality covers the variant, the value and an
+    # Irreducible's residual factors and scalar
+    assert gauss_second_rhs(a, b) == _gauss_second_rhs_by_fractions(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TRIPLE_DENOMINATORS).flatmap(_moment_argument), st.integers(0, 24))
+@_examples(MOMENT_EXAMPLES)
+def test_moment_triples_match_gamma_expr_route(p, n):
+    assert legendre.moment(p, n) == _moment_by_fractions(p, n)
+
+
+def test_triple_examples_reach_every_gamma_value_kind():
+    kinds = {type(gauss_second_rhs(a, b)) for a, b in GAUSS_EXAMPLES}
+    kinds |= {type(legendre.moment(p, n)) for p, n in MOMENT_EXAMPLES}
+    assert kinds == {Finite, Zero, Pole, Irreducible}
+
+
+def test_closed_forms_build_no_gamma_expr_unless_irreducible(monkeypatch):
+    grid = [-4, -3, -2, -1, 0, 1, 2, HALF, F(-7, 2), F(5, 2), F(1, 3), F(-4, 9)]
+    gauss = {(a, b): gauss_second_rhs(a, b) for a in grid for b in grid}
+    moments = {(p, n): legendre.moment(p, n) for p in grid if p > -1 for n in range(9)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a GammaExpr was built")
+
+    monkeypatch.setattr(gammaprod, "GammaExpr", refuse)
+    kinds = set()
+    for f, table in ((gauss_second_rhs, gauss), (legendre.moment, moments)):
+        for args, value in table.items():
+            if isinstance(value, Irreducible):
+                with pytest.raises(AssertionError):
+                    f(*args)
+            else:
+                assert f(*args) == value
+                kinds.add(type(value))
+    assert kinds == {Finite, Zero, Pole}
