@@ -110,10 +110,6 @@ class Record:
         return type(self), self._values()
 
 
-def is_nonpositive_integer(x: Fraction | int) -> bool:
-    return x.denominator == 1 and x.numerator <= 0
-
-
 def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     """The sum of the rationals num/den given as integer pairs (num, den),
     as one integer numerator over the lcm L of the denominators:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knuthsums import abel, catalog, gammaprod, legendre
-from knuthsums.core import is_nonpositive_integer, pochhammer
+from knuthsums.core import pochhammer
 from knuthsums.gammaprod import (
     Finite,
     GammaExpr,
@@ -24,6 +24,10 @@ from knuthsums.gammaprod import (
 from knuthsums.hyper import kummer_even, kummer_odd_zero
 
 HALF = F(1, 2)
+
+
+def is_nonpositive_integer(x):
+    return x.denominator == 1 and x.numerator <= 0
 
 
 def _gauss_second_rhs_by_fractions(a, b):
