@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Iterator, NamedTuple
 
 from . import abel, legendre
@@ -426,64 +427,67 @@ def run_sweep(
     ell_grid: tuple[Fraction, ...] = DEFAULT_ELL_GRID,
     jobs: int = 1,
     fail_fast: bool = False,
-) -> list[VerificationReport]:
-    """Verify every case of the named identities; reports come back sorted
-    by (identity, parameters) so output is deterministic regardless of the
-    degree of parallelism.
-
-    Results are read in case order on both the serial and the pool path,
-    so with fail_fast the reports are the cases up to and including the
-    first failure, whatever jobs is.
+) -> Iterator[VerificationReport]:
+    """Verify every case of the named identities, as an iterator of reports
+    sorted by (identity, n, shift) whatever jobs is; unknown names raise
+    KeyError at the call.  Results are read in case order and yielded in
+    blocks of one identity at one n (a serial sweep holds one block), so
+    with fail_fast they are the cases through the first failure.
     """
     unknown = [n for n in names if n not in REGISTRY]
     if unknown:
         raise KeyError(f"unknown identities: {', '.join(unknown)}; valid keys: {', '.join(sorted(REGISTRY))}")
-    cases = [
+    cases = (
         (name, params)
         for name in sorted(names)
         for params in iter_cases(REGISTRY[name], n_max, ell_grid)
-    ]
-
-    def collect(results) -> list[VerificationReport]:
-        reports = []
-        for rep in results:
-            reports.append(rep)
-            if fail_fast and rep.status == "fail":
-                break
-        return reports
-
+    )
     # a pool forks all its workers at the first submit: ask for no more
     # than there are cases, nor than the CPUs this process may run on
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, len(cases), cpus or 1)
-    if workers <= 1:
-        reports = collect(map(_verify_case, cases))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    workers = min(jobs, cpus or 1)
+    if workers > 1:
+        cases = list(cases)  # pool.map submits them all at once anyway
+        workers = min(workers, len(cases))
+    results = _pool_map(cases, workers) if workers > 1 else map(_verify_case, cases)
+    if fail_fast:
+        results = _through_first_failure(results)
+    key = _report_key(ell_grid)
+    blocks = groupby(results, lambda rep: (rep.identity, rep.params[0]))
+    return (rep for _, block in blocks for rep in sorted(block, key=key))
 
+
+def _pool_map(cases, workers):
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
         # a few chunks per worker: cases grow costlier along n, so one
         # chunk per worker would leave the others idle at the end
-        chunksize = max(1, len(cases) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = collect(pool.map(_verify_case, cases, chunksize=chunksize))
-            pool.shutdown(cancel_futures=True)
-    sort_reports(reports, ell_grid)
-    return reports
+        yield from pool.map(_verify_case, cases, chunksize=max(1, len(cases) // (4 * workers)))
+    finally:  # closed early, this cancels the queued cases instead of running them
+        pool.shutdown(cancel_futures=True)
+
+
+def _through_first_failure(reports):
+    for rep in reports:
+        yield rep
+        if rep.status == "fail":
+            return
+
+
+def _report_key(ell_grid):
+    """The key (identity, n, shift rank), a shift looked up by its integer
+    pair so no Fraction is hashed; x points come in order already."""
+    rank = {(ell.numerator, ell.denominator): r for r, ell in enumerate(sorted(ell_grid))}
+
+    def key(rep):
+        name, ell = rep.params[-1]
+        return rep.identity, rep.params[0][1], rank[ell.numerator, ell.denominator] if name == "ell" else 0
+
+    return key
 
 
 def sort_reports(reports: list[VerificationReport], ell_grid: tuple[Fraction, ...]) -> None:
-    """Sort reports in place by (identity, n, shift) on integer keys: a
-    shift is keyed by its rank in the sorted grid, looked up by its
-    (numerator, denominator), so no Fraction is hashed and reports compare
-    only strings and integers.  Within one n the x points come in
-    increasing order already, and the sort is stable."""
-    rank = {(ell.numerator, ell.denominator): r for r, ell in enumerate(sorted(ell_grid))}
-
-    def key(rep: VerificationReport) -> tuple[str, int, int]:
-        (_, n), *rest = rep.params
-        if rest and rest[0][0] == "ell":
-            ell = rest[0][1]
-            return rep.identity, n, rank[ell.numerator, ell.denominator]
-        return rep.identity, n, 0
-
-    reports.sort(key=key)
+    """Sort reports in place in `run_sweep`'s order."""
+    reports.sort(key=_report_key(ell_grid))

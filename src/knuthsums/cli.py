@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -112,9 +113,8 @@ def _rows(reports: Iterable[VerificationReport]) -> Iterator[tuple]:
     (identity, params as JSON members, params as compact text, lhs, rhs,
     status, micros, reason), each side as `p/q` text or None.
 
-    Each distinct parameter value is formatted once per call (a shift is
-    found by its integer pair, so no Fraction is hashed), and each side
-    once, whatever the format.
+    Parameter values are memoised by integer pair (no Fraction is hashed),
+    and the memo is cleared when full: most x points occur once.
     """
     fragments: dict[tuple, tuple[str, str]] = {}
     for identity, params, lhs, rhs, status, reason, micros in reports:
@@ -123,6 +123,8 @@ def _rows(reports: Iterable[VerificationReport]) -> Iterator[tuple]:
             key = (name, value) if isinstance(value, int) else (name, value.numerator, value.denominator)
             pair = fragments.get(key)
             if pair is None:
+                if len(fragments) > 1024:
+                    fragments.clear()
                 pair = fragments[key] = _param_fragments(name, value)
             members.append(pair[0])
             texts.append(pair[1])
@@ -148,50 +150,45 @@ def _json_lines(rows: Iterable[tuple]) -> Iterator[str]:
         )
 
 
-def _emit(reports: list[VerificationReport], fmt: str, out) -> None:
-    """Write the reports in `fmt`, streaming one line per report."""
+def _emit(reports: Iterable[VerificationReport], fmt: str, out) -> dict[str, int]:
+    """Write the reports in `fmt` as they come (the summary keeps counts and
+    failures only) and return the count of each status."""
+    by_name: dict[str, dict[str, int]] = {}
+
+    def tallied():
+        for rep in reports:
+            by_name.setdefault(rep.identity, {"pass": 0, "fail": 0, "skip": 0})[rep.status] += 1
+            yield rep
+
     if fmt == "json":
-        out.writelines(_json_lines(_rows(reports)))
-        return
-    if fmt == "tsv":
+        out.writelines(_json_lines(_rows(tallied())))
+    elif fmt == "tsv":
         out.write("\t".join(TSV_COLUMNS) + "\n")
         out.writelines(
             f"{identity}\t{text}\t{lhs}\t{rhs}\t{status}\t{micros}\n"
-            for identity, _, text, lhs, rhs, status, micros, _ in _rows(reports)
+            for identity, _, text, lhs, rhs, status, micros, _ in _rows(tallied())
         )
-        return
-    # summary: counts per identity, then a line for each failing case
-    by_name: dict[str, dict[str, int]] = {}
-    for rep in reports:
-        tally = by_name.setdefault(rep.identity, {"pass": 0, "fail": 0, "skip": 0})
-        tally[rep.status] += 1
-    width = max((len(n) for n in by_name), default=8)
-    out.write(f"{'identity'.ljust(width)}  cases  pass  fail  skip\n")
-    totals = {"pass": 0, "fail": 0, "skip": 0}
-    for name in sorted(by_name):
-        t = by_name[name]
-        cases = sum(t.values())
-        out.write(
-            f"{name.ljust(width)}  {cases:5d}  {t['pass']:4d}  {t['fail']:4d}  {t['skip']:4d}\n"
+    else:
+        failed = [rep for rep in tallied() if rep.status == "fail"]
+    totals = {key: sum(t[key] for t in by_name.values()) for key in ("pass", "fail", "skip")}
+    if fmt == "summary":
+        width = max(map(len, by_name), default=8)
+        out.write(f"{'identity'.ljust(width)}  cases  pass  fail  skip\n")
+        for name, t in [*sorted(by_name.items()), ("TOTAL", totals)]:
+            out.write(
+                f"{name.ljust(width)}  {sum(t.values()):5d}  {t['pass']:4d}  {t['fail']:4d}  {t['skip']:4d}\n"
+            )
+        out.writelines(
+            f"FAIL {identity} [{text}] lhs={lhs} rhs={rhs} {reason}\n"
+            for identity, _, text, lhs, rhs, _, _, reason in _rows(failed)
         )
-        for key in totals:
-            totals[key] += t[key]
-    out.write(
-        f"{'TOTAL'.ljust(width)}  {sum(totals.values()):5d}  {totals['pass']:4d}  "
-        f"{totals['fail']:4d}  {totals['skip']:4d}\n"
-    )
-    failed = _rows(rep for rep in reports if rep.status == "fail")
-    out.writelines(
-        f"FAIL {identity} [{text}] lhs={lhs} rhs={rhs} {reason}\n"
-        for identity, _, text, lhs, rhs, _, _, reason in failed
-    )
+    return totals
 
 
-def _exit_code(reports: list[VerificationReport]) -> int:
-    statuses = [r.status for r in reports]
-    if "fail" in statuses:
+def _exit_code(counts: dict[str, int]) -> int:
+    if counts["fail"]:
         return 1
-    if statuses and all(s == "skip" for s in statuses):
+    if counts["skip"] and not counts["pass"]:
         print("warning: every case was skipped", file=sys.stderr)
     return 0
 
@@ -202,8 +199,7 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be positive, got {args.jobs}")
     reports = run_sweep(names, n_max, grid, jobs=args.jobs, fail_fast=args.fail_fast)
-    _emit(reports, args.format, sys.stdout)
-    return _exit_code(reports)
+    return _exit_code(_emit(reports, args.format, sys.stdout))
 
 
 def _wz_checks(pair: wz.WZPair) -> tuple[Identity, Identity]:
@@ -250,8 +246,7 @@ def cmd_wz(args) -> int:
         if args.fail_fast and any(r.status == "fail" for r in rows):
             break
     catalog.sort_reports(reports, grid)
-    _emit(reports, args.format, sys.stdout)
-    return _exit_code(reports)
+    return _exit_code(_emit(reports, args.format, sys.stdout))
 
 
 def cmd_list(args) -> int:
@@ -314,10 +309,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader has gone: flush the rest to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -51,10 +51,21 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render a rational as `p` or `p/q`, the inverse of parse_rational."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a rational as `p` or `p/q`, the inverse of parse_rational.
+
+    Where `str` refuses an integer for its length (Python's int string
+    limit, 4300 digits by default), `decimal.Decimal` converts it exactly
+    and is not subject to the limit.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        from decimal import Decimal
+
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def as_rational(x) -> Fraction | int:
@@ -131,6 +142,7 @@ def pochhammer(x: Fraction | int, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError(f"pochhammer order must be nonnegative, got {k}")
+    x = as_rational(x)
     p, q = x.numerator, x.denominator
     return Fraction(math.prod(range(p, p + k * q, q)), q**k)
 
@@ -140,6 +152,7 @@ def falling(x: Fraction | int, k: int) -> Fraction:
     product p (p-q) ... (p-(k-1)q) over q^k."""
     if k < 0:
         raise ValueError(f"falling-factorial order must be nonnegative, got {k}")
+    x = as_rational(x)
     p, q = x.numerator, x.denominator
     return Fraction(math.prod(range(p, p - k * q, -q)), q**k)
 
@@ -155,6 +168,7 @@ def gbinom(a: Fraction | int, m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError(f"gbinom lower index must be nonnegative, got {m}")
+    a = as_rational(a)
     return Fraction(*gbinom_pair(a.numerator, a.denominator, m))
 
 

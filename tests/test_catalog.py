@@ -120,6 +120,17 @@ def test_shifted_lhs_equals_literal_gbinom_sum(name, n, ell):
     assert ident.lhs(n=n, ell=ell) == LITERAL_SUMS[name](n, ell)
 
 
+def test_abel1_lhs_equals_literal_sum_at_integer_and_half_integer_shifts():
+    # the exact division by the last factor of M_k, at every shift where
+    # that factor k+2l+1 comes near zero and the validity predicate decides
+    ident = REGISTRY["abel-first"]
+    for n in range(13):
+        for twice in range(-2 * n - 4, 5):
+            ell = F(twice, 2)
+            if ident.validity(n=n, ell=ell):
+                assert ident.lhs(n=n, ell=ell) == _literal_abel1(n, ell), (n, ell)
+
+
 def test_prop2_values():
     assert catalog.prop2_lhs(2, F(1)) == catalog.prop2_rhs(2, F(1)) == F(1, 4)
     assert catalog.prop2_lhs(2, F(0)) == catalog.prop2_rhs(2, F(0)) == F(1, 2)
@@ -355,8 +366,8 @@ def test_run_sweep_sorting_and_parallel_agreement():
     def strip(reports):  # drop timing, which legitimately varies
         return [(r.identity, r.params, r.lhs, r.rhs, r.status, r.reason) for r in reports]
 
-    serial = run_sweep(["knuth-old-sum", "abel-second"], 12)
-    parallel = run_sweep(["knuth-old-sum", "abel-second"], 12, jobs=2)
+    serial = list(run_sweep(["knuth-old-sum", "abel-second"], 12))
+    parallel = list(run_sweep(["knuth-old-sum", "abel-second"], 12, jobs=2))
     assert strip(serial) == strip(parallel)
     names = [r.identity for r in serial]
     assert names == sorted(names)
@@ -378,7 +389,7 @@ def test_run_sweep_fail_fast_prefix_independent_of_jobs(monkeypatch):
     broken = dataclasses.replace(REGISTRY["knuth-old-sum"], rhs=_knuth_rhs_wrong_at_5)
     monkeypatch.setitem(REGISTRY, "knuth-old-sum", broken)
     names = ["abel-second", "knuth-old-sum"]
-    serial = run_sweep(names, 30, jobs=1, fail_fast=True)
+    serial = list(run_sweep(names, 30, jobs=1, fail_fast=True))
     # every abel-second case, then knuth-old-sum up to its failure at n = 5
     assert len(serial) == 31 + 6
     assert [r.status for r in serial].count("fail") == 1
@@ -391,6 +402,7 @@ class RecordingExecutor:
     for and runs the cases in this process, so no worker is started."""
 
     sizes: list[int] = []
+    shutdowns: list[bool] = []  # the cancel_futures of each shutdown call
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -405,7 +417,7 @@ class RecordingExecutor:
         return map(fn, iterable)
 
     def shutdown(self, wait=True, cancel_futures=False):
-        pass
+        self.shutdowns.append(cancel_futures)
 
 
 def test_run_sweep_asks_for_no_more_workers_than_cases(monkeypatch):
@@ -432,7 +444,7 @@ def test_run_sweep_asks_for_no_more_workers_than_cpus(monkeypatch, cpus, expecte
         return [(r.identity, r.params, r.lhs, r.rhs, r.status, r.reason) for r in reports]
 
     names = ["knuth-old-sum", "prop1-general-ell"]
-    serial = run_sweep(names, 12, jobs=1)
+    serial = list(run_sweep(names, 12, jobs=1))
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -441,8 +453,65 @@ def test_run_sweep_asks_for_no_more_workers_than_cpus(monkeypatch, cpus, expecte
 
 
 def test_run_sweep_rejects_unknown_names():
+    # at the call, not when the first report is read
     with pytest.raises(KeyError):
         run_sweep(["no-such-identity"], 3)
+
+
+def _recording(monkeypatch, name, calls):
+    ident = REGISTRY[name]
+
+    def lhs(**params):
+        calls.append(params)
+        return ident.lhs(**params)
+
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(ident, lhs=lhs))
+
+
+def test_run_sweep_evaluates_cases_as_it_is_read(monkeypatch):
+    first, later = [], []
+    _recording(monkeypatch, "abel-second", first)
+    _recording(monkeypatch, "knuth-old-sum", later)
+    reports = run_sweep(["knuth-old-sum", "abel-second"], 30)
+    assert first == later == []
+    assert next(reports).params == (("n", 0),)
+    # block n = 0, and the first case of the next block, which ends it
+    assert first == [{"n": 0}, {"n": 1}]
+    assert later == []
+    assert [r.identity for r in reports] == ["abel-second"] * 30 + ["knuth-old-sum"] * 31
+
+
+def test_run_sweep_yields_whole_sorted_blocks(monkeypatch):
+    grid = (F(7, 5), F(-1, 3), F(2), F(1, 2))
+    calls = []
+    _recording(monkeypatch, "prop1-general-ell", calls)
+    reports = run_sweep(["prop1-general-ell"], 3, grid)
+    block = [next(reports) for _ in grid]
+    assert [r.params for r in block] == [(("n", 0), ("ell", ell)) for ell in sorted(grid)]
+    # every shift of n = 0, in grid order, then the first shift of n = 1
+    assert calls == [{"n": 0, "ell": ell} for ell in grid] + [{"n": 1, "ell": grid[0]}]
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+def test_closing_a_pool_sweep_early_cancels_its_queued_cases(monkeypatch, fail_fast):
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(RecordingExecutor, "shutdowns", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    if fail_fast:
+        broken = dataclasses.replace(REGISTRY["knuth-old-sum"], rhs=_knuth_rhs_wrong_at_5)
+        monkeypatch.setitem(REGISTRY, "knuth-old-sum", broken)
+    reports = run_sweep(["knuth-old-sum"], 12, jobs=2, fail_fast=fail_fast)
+    assert RecordingExecutor.sizes == []  # no pool before the first read
+    if fail_fast:
+        # the failure at n = 5 ends the sweep before the cases n = 6..12
+        assert [r.params[0][1] for r in reports] == [0, 1, 2, 3, 4, 5]
+    else:
+        next(reports)
+        assert RecordingExecutor.shutdowns == []
+        reports.close()
+    assert RecordingExecutor.sizes == [2]
+    assert RecordingExecutor.shutdowns == [True]
 
 
 def test_report_record_serialization():

@@ -488,6 +488,24 @@ def test_list_text_and_json(capsys):
     assert {e["name"] for e in entries} == set(REGISTRY)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_pipe_exits_quietly(jobs):
+    # the reader stops after one line, as `| head -1` does, while the sweep
+    # still has far more than a pipe's buffer to write
+    src = os.path.dirname(os.path.dirname(knuthsums.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "knuthsums", "verify", "--identity", "all",
+         "--n-max", "30", "--format", "json", "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert json.loads(proc.stdout.readline())["identity"] == "abel-first"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, "")
+
+
 def test_module_entry_point():
     # the child imports the same package as this process, installed or not
     src = os.path.dirname(os.path.dirname(knuthsums.__file__))

@@ -3,7 +3,10 @@ binomials, the integer numerators of their rows and the summand kernels
 built from them, harmonic numbers."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -283,6 +286,34 @@ def test_parse_rational():
 @given(rationals)
 def test_format_parse_round_trip(q):
     assert core.parse_rational(core.format_rational(q)) == q
+
+
+def test_format_rational_beyond_the_int_string_limit():
+    # a fresh interpreter keeps Python's default limit of 4300 digits,
+    # which str(int) enforces and Decimal does not
+    code = (
+        "from fractions import Fraction\n"
+        "from knuthsums.catalog import VerificationReport\n"
+        "from knuthsums.core import format_rational\n"
+        "side = Fraction(-(10**5000 + 1), 7)\n"
+        "assert format_rational(side) == '-1' + '0' * 4999 + '1/7'\n"
+        "assert format_rational(side.numerator) == '-1' + '0' * 4999 + '1'\n"
+        "assert format_rational(1 / side) == '-7/1' + '0' * 4999 + '1'\n"
+        "rep = VerificationReport('knuth-old-sum', (('n', 1),), side, side, 'pass')\n"
+        "assert rep.to_record()['lhs'] == format_rational(side)\n"
+    )
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("primitive", [core.pochhammer, core.falling, core.gbinom])
+def test_primitives_take_exact_values_only(primitive):
+    assert primitive("1/3", 4) == primitive(F(1, 3), 4)
+    assert primitive("-5", 3) == primitive(-5, 3)
+    with pytest.raises(TypeError, match="Fraction or a 'p/q' string"):
+        primitive(0.1, 2)
 
 
 FLOAT_CALLS = {
