@@ -9,7 +9,8 @@ difference (del' B)_i = B_i - B_{i+1}, the finite transform
 
 is an algebraic identity for arbitrary sequences; the boundary term
 A_M B_{M+1} plays the role of the limit term, and equals it whenever A has
-compact support below the cutoff.
+compact support below the cutoff.  The first identity's sum re-weights the
+integer terms of `core.prop1_row` and reads no binomial row of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .core import _falling_numerators, _grown_rows, as_rational, exact_sum, gbinom_pair, pochhammer
+from .core import as_rational, exact_sum, gbinom_pair, pochhammer, prop1_row
 
 
 class SequencePair(NamedTuple):
@@ -80,23 +81,18 @@ def abel1_valid(n: int, ell: Fraction | int) -> bool:
 def abel1_lhs(n: int, ell: Fraction | int) -> Fraction:
     """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k) k(n-k)/(k+2l+1).
 
-    With l = a/b, these are prop1's terms (`core.prop1_row`): the k-th is
-    (-1)^k 2^(n-k) C(n,k) U_{n-k} M_k over 2^n b^n n!, times the weight
-    k(n-k) b / (kb+2a+b).  M_k = (2a+2kb)(2a+2kb-b)...(2a+(k+1)b) ends in
-    the factor kb+2a+b, so each weighted term is the integer
-    C(n,k) U_{n-k} (M_k // (kb+2a+b)) k(n-k) b 2^(n-k) over prop1's
+    With l = a/b, these are prop1's terms (`core.prop1_row`), each times
+    the weight k(n-k) b / (kb+2a+b).  The k-th term carries the factor
+    M_k = (2a+2kb)(2a+2kb-b)...(2a+(k+1)b) of choose(2k+2l, k), which
+    ends in kb+2a+b, so each weighted term is an integer over prop1's
     denominator: one integer sum and one Fraction.
     """
     ell = as_rational(ell)
     a, b = ell.numerator, ell.denominator
-    upper = _falling_numerators(n * b + a, b, n)
-    b2k = _grown_rows(a, b, n)[0]
+    terms, den = prop1_row(n, a, b)
     # k(n-k) vanishes at k = 0 and k = n
-    total = sum(
-        (-1) ** k * math.comb(n, k) * upper[n - k] * (b2k[k] // (k * b + 2 * a + b)) * k * (n - k) << (n - k)
-        for k in range(1, n)
-    )
-    return Fraction(total * b, 2**n * b**n * math.factorial(n))
+    total = sum(terms[k] // (k * b + 2 * a + b) * k * (n - k) for k in range(1, n))
+    return Fraction(total * b, den)
 
 
 def abel1_rhs(n: int, ell: Fraction | int) -> Fraction:

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import abel, legendre
 from .core import CertificateDenominatorZero, exact_sum, format_rational, gbinom_pair
-from .core import harmonic, odd_harmonic, prop1_terms, prop2_terms
+from .core import harmonic, odd_harmonic, prop1_row, prop2_row
 
 # Mixes integers, half-integers and generic rationals; identities skip the
 # grid points their validity predicate excludes.
@@ -114,8 +114,8 @@ def prop1_valid(n: int, ell: Fraction) -> bool:
 
 def prop1_lhs(n: int, ell: Fraction) -> Fraction:
     """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k), one integer
-    over one denominator (`core.prop1_terms`)."""
-    terms, den = prop1_terms(n, ell)
+    over one denominator (`core.prop1_row`)."""
+    terms, den = prop1_row(n, ell.numerator, ell.denominator)
     return Fraction(sum(terms), den)
 
 
@@ -138,8 +138,8 @@ prop2_valid = prop1_valid
 
 def prop2_lhs(n: int, ell: Fraction) -> Fraction:
     """sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k), one
-    integer over one denominator (`core.prop2_terms`)."""
-    terms, den = prop2_terms(n, ell)
+    integer over one denominator (`core.prop2_row`)."""
+    terms, den = prop2_row(n, ell.numerator, ell.denominator)
     return Fraction(sum(terms), den)
 
 

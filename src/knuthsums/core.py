@@ -3,18 +3,19 @@
 Every value that crosses a module boundary is an exact rational
 (`fractions.Fraction`); nothing is ever rounded.  This module supplies the
 building blocks: rising and falling factorials, generalized binomial
-coefficients with a rational upper argument, the integer numerators of
-the two binomial rows every shifted sum walks (choose(x, j) and
-choose(2k+2l, k), each over a known denominator), the summand kernels of
-the two shifted Reed Dawson sums built from them over one bounded cache
-of per-shift rows, and memoized harmonic / odd-harmonic numbers.
-Everything but the harmonic numbers works in integers inside: a
-factorial of x = p/q is one integer product over a power of q, a
-shifted sum is accumulated as one integer numerator, and every other
-literal sum of rationals goes through `exact_sum`, one integer numerator
-over the lcm of its denominators; each builds a single `Fraction` at
-the end.  `Record` is the immutable value type the closed-form modules
-build their results on.
+coefficients with a rational upper argument, the integer kernels of the
+shifted family, and memoized harmonic / odd-harmonic numbers.  Only this
+module knows the shifted family's row layout over l = a/b (the prefix
+products U_j of choose(x, j), the M_k of choose(2k+2l, k) and the prefix
+products Q_k of choose(-l-1, k), the last two in one bounded per-shift
+cache); every other module reads it through `prop1_row` / `prop2_row`
+and `prop1_rest` / `prop2_rest`.  Everything but the harmonic numbers
+works in integers inside: a factorial of x = p/q is one integer product
+over a power of q, a shifted sum is accumulated as one integer numerator,
+and every other literal sum of rationals goes through `exact_sum`, one
+integer numerator over the lcm of its denominators; each builds a single
+`Fraction` at the end.  `Record` is the immutable value type the
+closed-form modules build their results on.
 """
 
 from __future__ import annotations
@@ -39,19 +40,28 @@ def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal `p` or `p/q`.
 
     Decimal and float-looking literals are rejected outright: a string such
-    as "0.5" raises instead of being silently converted.
+    as "0.5" raises instead of being silently converted.  Where `Fraction`
+    refuses a part for its length (Python's int string limit, 4300 digits
+    by default), `decimal.Decimal` converts it exactly, as in
+    `format_rational`; the limit itself is left as it is.
     """
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not an exact rational literal (use p or p/q): {text!r}")
     try:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ValueError:
+            from decimal import Decimal
+
+            num, _, den = s.partition("/")
+            return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render a rational as `p` or `p/q`, the inverse of parse_rational.
+    """Render a rational as `p` or `p/q`, the inverse of `parse_rational`.
 
     Where `str` refuses an integer for its length (Python's int string
     limit, 4300 digits by default), `decimal.Decimal` converts it exactly
@@ -179,22 +189,13 @@ def gbinom_pair(p: int, q: int, m: int) -> tuple[int, int]:
 
 
 def _falling_numerators(p: int, q: int, m: int) -> list[int]:
-    """The prefix products U_j = p (p-q) ... (p-(j-1)q), j = 0..m."""
+    """The prefix products U_j = p (p-q) ... (p-(j-1)q), j = 0..m: with
+    x = p/q, choose(x, j) = U_j / (q^j j!).  One factor per step, so no
+    division happens and no step can be 0/0."""
     row = [1]
     for i in range(m):
         row.append(row[-1] * (p - i * q))
     return row
-
-
-def gbinom_numerators(x: Fraction | int, m: int) -> list[int]:
-    """Integer numerators of the row choose(x, j), j = 0..m.
-
-    With x = p/q in lowest terms, choose(x, j) = U_j / (q^j j!) where
-    U_j = p (p-q) ... (p-(j-1)q): the prefix products of one factor per
-    step, so no division happens and no step can be 0/0.
-    """
-    x = as_rational(x)
-    return _falling_numerators(x.numerator, x.denominator, m)
 
 
 @lru_cache(maxsize=16)
@@ -220,30 +221,13 @@ def _grown_rows(a: int, b: int, m: int) -> tuple[list[int], list[int]]:
     return b2k, reflected
 
 
-def binom2k_numerators(ell: Fraction | int, m: int) -> list[int]:
-    """Integer numerators of choose(2k+2l, k), k = 0..m, for a rational shift l.
-
-    With l = a/b in lowest terms, choose(2k+2l, k) = M_k / (b^k k!) where
-    M_k = (2a+2kb) (2a+2kb-b) ... (2a+kb+b), one product per entry, read
-    from the per-shift cache as a fresh list.
-    """
-    ell = as_rational(ell)
-    return _grown_rows(ell.numerator, ell.denominator, m)[0][: m + 1]
-
-
-def prop1_terms(n: int, ell: Fraction | int) -> tuple[list[int], int]:
-    """The terms of sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k)
-    as integers over one common denominator (`prop1_row` of l's pair)."""
-    ell = as_rational(ell)
-    return prop1_row(n, ell.numerator, ell.denominator)
-
-
 def prop1_row(n: int, a: int, b: int) -> tuple[list[int], int]:
-    """`prop1_terms` at l = a/b, for b > 0.
+    """The terms of sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k)
+    at l = a/b, b > 0, as integers over one common denominator.
 
-    choose(n+l, n-k) = U_{n-k} / (b^(n-k) (n-k)!), U built from
-    n+l = (nb+a)/b, and choose(2k+2l, k) = M_k / (b^k k!), so the k-th
-    term is (-1)^k 2^(n-k) C(n,k) U_{n-k} M_k over 2^n b^n n!.
+    choose(n+l, k+l) = choose(n+l, n-k) = U_{n-k} / (b^(n-k) (n-k)!), U
+    built from n+l = (nb+a)/b, and choose(2k+2l, k) = M_k / (b^k k!), so
+    the k-th term is (-1)^k 2^(n-k) C(n,k) U_{n-k} M_k over 2^n b^n n!.
     """
     upper = _falling_numerators(n * b + a, b, n)
     b2k = _grown_rows(a, b, n)[0]
@@ -252,15 +236,9 @@ def prop1_row(n: int, a: int, b: int) -> tuple[list[int], int]:
     return terms, 2**n * b**n * math.factorial(n)
 
 
-def prop2_terms(n: int, ell: Fraction | int) -> tuple[list[int], int]:
-    """The terms of sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k)
-    as integers over one common denominator (`prop2_row` of l's pair)."""
-    ell = as_rational(ell)
-    return prop2_row(n, ell.numerator, ell.denominator)
-
-
 def prop2_row(n: int, a: int, b: int) -> tuple[list[int], int]:
-    """`prop2_terms` at l = a/b, for b > 0.
+    """The terms of sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k)
+    at l = a/b, b > 0, as integers over one common denominator.
 
     choose(k+l, k) = (-1)^k choose(-l-1, k), and that sign cancels the one
     in (-1/2)^k.  choose(-l-1, k) = Q_k / (b^k k!) and
@@ -276,6 +254,21 @@ def prop2_row(n: int, a: int, b: int) -> tuple[list[int], int]:
         raise ValueError(f"choose(k+l,k) vanishes at k={reflected.index(0)} for l={ell}")
     terms = [math.comb(n, k) * b2k[k] * (top // reflected[k]) << (n - k) for k in range(n + 1)]
     return terms, 2**n * top
+
+
+def prop1_rest(k: int, a: int, b: int) -> tuple[int, int]:
+    """(-1/2)^k choose(2k+2l, k) = (-1)^k M_k / (2^k b^k k!) at l = a/b:
+    the factor free of n in `prop1_row`'s k-th term, as an integer pair."""
+    m = _grown_rows(a, b, k)[0][k]
+    return -m if k % 2 else m, b**k * math.factorial(k) << k
+
+
+def prop2_rest(k: int, a: int, b: int) -> tuple[int, int]:
+    """(-1/2)^k choose(2k+2l, k) / choose(k+l, k) = M_k / (2^k Q_k) at
+    l = a/b: the factor free of n in `prop2_row`'s k-th term, as an
+    integer pair whose denominator is 0 where choose(k+l, k) vanishes."""
+    b2k, reflected = _grown_rows(a, b, k)
+    return b2k[k], reflected[k] << k
 
 
 # H_n = 1 + 1/2 + ... + 1/n and O_r = 1 + 1/3 + ... + 1/(2r-1), with

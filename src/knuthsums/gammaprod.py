@@ -126,13 +126,6 @@ def _half_pair(p: int) -> tuple[int, int]:
     return (-2) ** m, math.prod(range(1, 2 * m, 2))
 
 
-def gamma_half(a: Fraction) -> Fraction:
-    """The rational q with Gamma(a) = q * sqrt(pi), for half-integer a."""
-    if a.denominator != 2:
-        raise ValueError(f"{a} is not a half-integer")
-    return Fraction(*_half_pair(a.numerator))
-
-
 def _times(num: int, den: int, x: int, y: int, e: int) -> tuple[int, int]:
     """(num/den) (x/y)^e as an integer pair; a negative e swaps x and y."""
     if e < 0:

@@ -18,8 +18,10 @@ the factor 1/Gamma(2n-k+1) inside F cancels through
 Every pair is built by `_pair` from integer kernels over the shift
 l = a/b: `terms` (`core.prop1_row` or `core.prop2_row`, a registered
 identity's own summand at index 2n) gives a row of integers over one
-denominator, and `rest` (the factors of a term free of n) and `norm` (a
-normalisation free of k) each give one (numerator, denominator) pair.
+denominator, and `rest` (`core.prop1_rest` or `core.prop2_rest`, the
+factor of a term free of n) and `norm` (a normalisation free of k) each
+give one (numerator, denominator) pair; the binomial rows behind them
+are known to `core` only.
 From them `_rows` builds and caches one bundle per (pair, n, a, b): row n
 of F and row n of G over k = 0..2n+2, boundary limits included, each over
 one integer denominator.  G is R * F where R is finite and the cancelled
@@ -41,8 +43,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
-from .core import CertificateDenominatorZero, _grown_rows, as_rational, gbinom_pair
-from .core import prop1_row, prop2_row
+from .core import CertificateDenominatorZero, as_rational, gbinom_pair
+from .core import prop1_rest, prop1_row, prop2_rest, prop2_row
 
 # for annotations only: a pair's pointwise functions of (n, k, l), and its
 # integer kernels over l = a/b, a row of terms over one denominator and a
@@ -197,27 +199,13 @@ def _pair(
     return WZPair(name, F, R, G, defined, rows)
 
 
-def _signed_rest(k: int, a: int, b: int) -> tuple[int, int]:
-    """(-1/2)^k choose(2k+2l, k) = (-1)^k M_k / (2^k b^k k!): the factor
-    free of n in the terms of prop1 and of the control."""
-    m = _grown_rows(a, b, k)[0][k]
-    return -m if k % 2 else m, b**k * math.factorial(k) << k
-
-
-def _reflected_rest(k: int, a: int, b: int) -> tuple[int, int]:
-    """(-1/2)^k choose(2k+2l, k) / choose(k+l, k) = M_k / (2^k Q_k): the
-    factor free of n in prop2's terms."""
-    b2k, reflected = _grown_rows(a, b, k)
-    return b2k[k], reflected[k] << k
-
-
 def register_prop1_certificate() -> WZPair:
     """The pair for the shifted Reed Dawson sum at even index 2n:
 
         F(n,k) = (-1/2)^k choose(2n+l, k+l) choose(2k+2l, k) 4^n / choose(2n+l, n)
     """
     return _pair(
-        "prop1", prop1_row, _signed_rest,
+        "prop1", prop1_row, prop1_rest,
         # 1 / choose(2n+l, n), choose(2n+l, n) being the pair of (2nb+a, b)
         lambda n, a, b: gbinom_pair(2 * n * b + a, b, n)[::-1],
         shifted=True,
@@ -233,7 +221,7 @@ def register_prop2_certificate() -> WZPair:
                  / (choose(k+l, k) C(2n,n))
     """
     return _pair(
-        "prop2", prop2_row, _reflected_rest,
+        "prop2", prop2_row, prop2_rest,
         # choose(n+l, n) / C(2n, n) = P / (b^n n! C(2n, n)), with P / (b^n n!)
         # the pair of (nb+a, b) and n! C(2n, n) = (2n)! / n!
         lambda n, a, b: (gbinom_pair(n * b + a, b, n)[0], b**n * math.perm(2 * n, n)),
@@ -248,7 +236,7 @@ def negative_control() -> WZPair:
     row sums grow with n) and the certificate numerator is corrupted to
     k(k+2l+1).  Both the residual check and the row-sum check must fail."""
     return _pair(
-        "negative-control", prop1_row, _signed_rest,
+        "negative-control", prop1_row, prop1_rest,
         lambda n, a, b: (1, 1),
         shifted=True,
         defined=lambda n, ell: True,

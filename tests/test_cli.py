@@ -334,6 +334,40 @@ def test_sides_beyond_the_int_string_limit_are_written(capsys, monkeypatch, fmt,
         assert (f"lhs={digits}/7 " in out) == (status == "fail")
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit")
+def test_main_leaves_the_int_string_limit_as_it_found_it(capsys):
+    previous = sys.get_int_max_str_digits()
+    try:
+        for limit in (4300, 640):
+            sys.set_int_max_str_digits(limit)
+            code, _, _ = run_cli(capsys, "verify", "--identity", "knuth-old-sum", "--n-max", "2")
+            assert code == 0
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit")
+def test_ell_literals_beyond_the_int_string_limit_parse(capsys):
+    digits = "1" + "0" * 4999 + "1"  # 5001 digits, past the default limit of 4300
+    literals = [digits, f"-{digits}/7", f"3/{digits}"]
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run_cli(
+            capsys, "verify", "--identity", "prop1-general-ell", "--n-max", "2",
+            "--ell", ",".join(literals), "--format", "json",
+        )
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 3 * len(literals)
+    assert all(r["status"] == "pass" for r in records)
+    assert {r["params"]["ell"] for r in records} == set(literals)
+
+
 def test_summary_format(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--identity", "knuth-old-sum", "--n-max", "5"

@@ -118,20 +118,25 @@ def _over(numerators, b):
     return [F(u, b**j * math.factorial(j)) for j, u in enumerate(numerators)]
 
 
+def _b2k(ell, m):
+    """The cached M_k of choose(2k+2l, k), k = 0..m, for l = ell."""
+    return core._grown_rows(ell.numerator, ell.denominator, m)[0][: m + 1]
+
+
 def test_binom2k_row_values():
     # the integer numerators of choose(2k+2l, k) over b^k k!
-    assert _over(core.binom2k_numerators(F(1, 2), 1), 2)[1] == core.gbinom(3, 1) == 3
-    assert core.binom2k_numerators(F(1, 2), 1) == [1, 6]
-    assert core.binom2k_numerators(1, 2)[2] == math.comb(6, 2) * 2 == 30
+    assert _over(_b2k(F(1, 2), 1), 2)[1] == core.gbinom(3, 1) == 3
+    assert _b2k(F(1, 2), 1) == [1, 6]
+    assert _b2k(1, 2)[2] == math.comb(6, 2) * 2 == 30
     for ell in (F(0), F(1, 3), F(-7, 5)):
-        assert core.binom2k_numerators(ell, 0) == [1]
+        assert _b2k(ell, 0) == [1]
     # l = -3/2: an entry vanishes and the next one is nonzero again
-    assert _over(core.binom2k_numerators(F(-3, 2), 4), 2) == [1, -1, 0, 1, 5]
+    assert _over(_b2k(F(-3, 2), 4), 2) == [1, -1, 0, 1, 5]
 
 
 def test_binom2k_row_equals_pochhammer_form():
     for ell in (F(0), F(1, 2), F(-1, 3), F(7, 5)):
-        row = _over(core.binom2k_numerators(ell, 11), ell.denominator)
+        row = _over(_b2k(ell, 11), ell.denominator)
         for k in range(12):
             expected = core.pochhammer(k + 2 * ell + 1, k) / math.factorial(k)
             assert row[k] == expected
@@ -139,7 +144,7 @@ def test_binom2k_row_equals_pochhammer_form():
 
 @given(rationals, st.integers(min_value=0, max_value=30))
 def test_gbinom_row_matches_gbinom(a, m):
-    nums = core.gbinom_numerators(a, m)
+    nums = core._falling_numerators(a.numerator, a.denominator, m)
     assert all(isinstance(u, int) for u in nums)
     assert _over(nums, a.denominator) == [core.gbinom(a, j) for j in range(m + 1)]
 
@@ -154,17 +159,22 @@ negative_integers = st.builds(F, st.integers(min_value=-30, max_value=-1))
 def test_binom2k_row_matches_gbinom(ell, m):
     # negative half-integers and negative integers l make entries vanish
     # and reappear along the row
-    nums = core.binom2k_numerators(ell, m)
+    nums = _b2k(ell, m)
     assert all(isinstance(u, int) for u in nums)
     expected = [core.gbinom(2 * k + 2 * ell, k) for k in range(m + 1)]
     assert _over(nums, ell.denominator) == expected
 
 
-def _literal_term(name, n, k, ell):
+def _rest_term(name, k, ell):
+    """The factor free of n in the k-th term of either shifted sum."""
     term = F(-1, 2) ** k * core.gbinom(2 * k + 2 * ell, k)
+    return term if name == "prop1" else term / core.gbinom(k + ell, k)
+
+
+def _literal_term(name, n, k, ell):
     if name == "prop1":
-        return term * core.gbinom(n + ell, n - k)
-    return term * math.comb(n, k) / core.gbinom(k + ell, k)
+        return _rest_term(name, k, ell) * core.gbinom(n + ell, n - k)
+    return _rest_term(name, k, ell) * math.comb(n, k)
 
 
 @settings(max_examples=150)
@@ -175,15 +185,22 @@ def _literal_term(name, n, k, ell):
 )
 def test_summand_kernels_match_gbinom_term_by_term(name, n, ell):
     # abel-first and the WZ pairs read single terms, not only their sum
-    kernel = {"prop1": core.prop1_terms, "prop2": core.prop2_terms}[name]
-    if name == "prop2" and ell.denominator == 1 and -n <= ell <= -1:
+    # and the WZ boundary limits read each term's factor free of n
+    kernel, rest = {
+        "prop1": (core.prop1_row, core.prop1_rest),
+        "prop2": (core.prop2_row, core.prop2_rest),
+    }[name]
+    a, b = ell.numerator, ell.denominator
+    if name == "prop2" and b == 1 and -n <= ell <= -1:
         message = f"choose(k+l,k) vanishes at k={-ell} for l={ell}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            kernel(n, ell)
+            kernel(n, a, b)
         return
-    terms, den = kernel(n, ell)
+    terms, den = kernel(n, a, b)
     assert all(isinstance(t, int) for t in terms)
     assert [F(t, den) for t in terms] == [_literal_term(name, n, k, ell) for k in range(n + 1)]
+    for k in range(n + 1):
+        assert F(*rest(k, a, b)) == _rest_term(name, k, ell)
 
 
 # negative integers, half-integers and generic shifts, the first few of
@@ -200,7 +217,6 @@ def _check_shift_rows(ell, m):
     assert reflected == [math.prod(range(-a - b, -a - b - k * b, -b)) for k in range(m + 1)]
     assert _over(b2k, b) == [core.gbinom(2 * k + 2 * ell, k) for k in range(m + 1)]
     assert _over(reflected, b) == [core.gbinom(-F(ell) - 1, k) for k in range(m + 1)]
-    assert core.binom2k_numerators(ell, m) == b2k
 
 
 def test_shift_row_cache_matches_fresh_rows_along_any_n_order():
@@ -223,7 +239,7 @@ def test_shift_row_cache_is_bounded():
     core._shift_rows.cache_clear()
     shifts = [F(j, 7) for j in range(-2 * maxsize, 2 * maxsize)]
     for ell in shifts:
-        core.prop1_terms(9, ell)
+        core.prop1_row(9, ell.numerator, ell.denominator)
         assert core._shift_rows.cache_info().currsize <= maxsize
     # an evicted shift is rebuilt with the same values
     assert core._shift_rows.cache_info().currsize == maxsize
@@ -233,22 +249,14 @@ def test_shift_row_cache_is_bounded():
 
 def test_returned_rows_are_fresh_lists():
     for ell in (F(1, 3), F(-5, 2), -2):
-        b2k = core.binom2k_numerators(ell, 8)
-        expected = list(b2k)
-        b2k[3] = 0
-        b2k.append(1)
-        assert core.binom2k_numerators(ell, 8) == expected
-        upper = core.gbinom_numerators(5 + F(ell), 6)
-        upper_expected = list(upper)
-        upper.clear()
-        assert core.gbinom_numerators(5 + F(ell), 6) == upper_expected
-        for kernel in (core.prop1_terms, core.prop2_terms):
-            if kernel is core.prop2_terms and ell == -2:
+        a, b = ell.numerator, ell.denominator
+        for kernel in (core.prop1_row, core.prop2_row):
+            if kernel is core.prop2_row and ell == -2:
                 continue  # choose(k+l, k) vanishes
-            terms, den = kernel(8, ell)
+            terms, den = kernel(8, a, b)
             expected_terms = list(terms)
             terms[:] = [0] * len(terms)
-            assert kernel(8, ell) == (expected_terms, den)
+            assert kernel(8, a, b) == (expected_terms, den)
         _check_shift_rows(ell, 8)
 
 

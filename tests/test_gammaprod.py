@@ -18,7 +18,6 @@ from knuthsums.gammaprod import (
     Irreducible,
     Pole,
     Zero,
-    gamma_half,
     gauss_second_rhs,
     reduce,
 )
@@ -29,10 +28,8 @@ HALF = F(1, 2)
 def test_half_integer_values():
     assert reduce(GammaExpr([(F(5, 2), 1)])) == Finite(F(3, 4), 1)
     assert reduce(GammaExpr([(F(-1, 2), 1)])) == Finite(F(-2), 1)
-    assert gamma_half(HALF) == 1
-    assert gamma_half(F(7, 2)) == F(15, 8)
-    with pytest.raises(ValueError):
-        gamma_half(F(1, 3))
+    assert reduce(GammaExpr([(HALF, 1)])) == Finite(F(1), 1)
+    assert reduce(GammaExpr([(F(7, 2), 1)])) == Finite(F(15, 8), 1)
 
 
 def test_integer_ratio_pairs_to_pochhammer():

@@ -1,10 +1,13 @@
-"""The package namespace: submodules load only when they are used."""
+"""The package namespace and its module boundaries: submodules load only
+when they are used, and no module reaches into core's private names."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +127,53 @@ def test_moment_loads_gammaprod_on_first_call():
         "    print(repr(legendre.moment(Fraction(p), n)))\n"
     )
     assert _python(code).splitlines() == [repr(legendre.moment(F(p), n)) for p, n in points]
+
+
+def _module_trees() -> dict[str, ast.Module]:
+    """The parsed source of every module of the package, by module name."""
+    return {path.stem: ast.parse(path.read_text("utf-8")) for path in Path(SRC, "knuthsums").glob("*.py")}
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name a module reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_core_function_has_a_caller_or_a_trace_hook():
+    # a core function that only tests call is code no identity, check or
+    # CLI path needs; the benchmark's tracer hooks the primitives by name
+    trees = _module_trees()
+    tracing = Path(SRC).parent / "perfbench" / "tracing.py"
+    hooked = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text("utf-8")).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "CORE_FUNCTIONS"
+    )
+    read = set().union(*map(_names_read, trees.values()))
+    defined = [node.name for node in trees["core"].body if isinstance(node, ast.FunctionDef)]
+    assert [name for name in defined if name not in read and name not in hooked] == []
+
+
+def test_no_module_reads_a_private_name_of_core():
+    # the binomial row layout of the shifted family is known to core alone
+    private = []
+    for module, tree in _module_trees().items():
+        if module == "core":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("core", "knuthsums.core"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "core":
+                names = [node.attr]
+            else:
+                continue
+            private += [(module, name) for name in names if name.startswith("_")]
+    assert private == []
