@@ -71,6 +71,7 @@ def abel1_valid(n: int, ell: Fraction | int) -> bool:
     """k+2l+1 must stay nonzero on 0..n, that is 2l+1 must not be an
     integer in [-n, 0], and l must avoid the negative integers >= -n where
     the binomials' Gamma form degenerates."""
+    ell = as_rational(ell)
     a, b = ell.numerator, ell.denominator
     if b == 1 and -n <= a < 0:
         return False
@@ -98,9 +99,9 @@ def abel1_lhs(n: int, ell: Fraction | int) -> Fraction:
 def abel1_rhs(n: int, ell: Fraction | int) -> Fraction:
     """-2^(-n) n choose(n+l, n/2) for even n, else 0, with l = a/b one
     integer pair (`core.gbinom_pair` of (nb+a, b)) over 2^n."""
+    ell = as_rational(ell)
     if n % 2:
         return Fraction(0)
-    ell = as_rational(ell)
     a, b = ell.numerator, ell.denominator
     num, den = gbinom_pair(n * b + a, b, n // 2)
     return Fraction(-n * num, den * 2**n)

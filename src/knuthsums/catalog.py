@@ -19,7 +19,7 @@ from itertools import groupby
 from typing import Callable, Iterator, NamedTuple
 
 from . import abel, legendre
-from .core import CertificateDenominatorZero, exact_sum, format_rational, gbinom_pair
+from .core import CertificateDenominatorZero, as_rational, exact_sum, format_rational, gbinom_pair
 from .core import harmonic, odd_harmonic, prop1_row, prop2_row
 
 # Mixes integers, half-integers and generic rationals; identities skip the
@@ -106,22 +106,25 @@ def knuth_rhs(n: int) -> Fraction:
     return Fraction(math.comb(n, n // 2), 2**n)
 
 
-def prop1_valid(n: int, ell: Fraction) -> bool:
+def prop1_valid(n: int, ell: Fraction | int) -> bool:
     """The shift must avoid the negative integers >= -n, where the Gamma
     form of choose(n+l, k+l) degenerates."""
+    ell = as_rational(ell)
     return not (ell.denominator == 1 and -n <= ell.numerator <= -1)
 
 
-def prop1_lhs(n: int, ell: Fraction) -> Fraction:
+def prop1_lhs(n: int, ell: Fraction | int) -> Fraction:
     """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k), one integer
     over one denominator (`core.prop1_row`)."""
+    ell = as_rational(ell)
     terms, den = prop1_row(n, ell.numerator, ell.denominator)
     return Fraction(sum(terms), den)
 
 
-def prop1_rhs(n: int, ell: Fraction) -> Fraction:
+def prop1_rhs(n: int, ell: Fraction | int) -> Fraction:
     """2^(-n) choose(n+l, n/2) for even n, else 0, with l = a/b one
     integer pair (`core.gbinom_pair` of (nb+a, b)) over 2^n."""
+    ell = as_rational(ell)
     if n % 2:
         return Fraction(0)
     a, b = ell.numerator, ell.denominator
@@ -136,19 +139,21 @@ def prop1_rhs(n: int, ell: Fraction) -> Fraction:
 prop2_valid = prop1_valid
 
 
-def prop2_lhs(n: int, ell: Fraction) -> Fraction:
+def prop2_lhs(n: int, ell: Fraction | int) -> Fraction:
     """sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k), one
     integer over one denominator (`core.prop2_row`)."""
+    ell = as_rational(ell)
     terms, den = prop2_row(n, ell.numerator, ell.denominator)
     return Fraction(sum(terms), den)
 
 
-def prop2_rhs(n: int, ell: Fraction) -> Fraction:
+def prop2_rhs(n: int, ell: Fraction | int) -> Fraction:
     """2^(-n) C(n, n/2) / choose(n/2+l, n/2) for even n, else 0.
 
     With l = a/b and h = n/2, choose(h+l, h) is `core.gbinom_pair` of
     (hb+a, b); ZeroDivisionError where it vanishes.
     """
+    ell = as_rational(ell)
     if n % 2:
         return Fraction(0)
     a, b = ell.numerator, ell.denominator
@@ -213,33 +218,34 @@ def intermediate_rhs(n: int) -> Fraction:
     )
 
 
-@lru_cache(maxsize=4)
-def _gf_row(n: int) -> tuple[tuple[int, ...], int]:
-    """The integer coefficients c_k = C(2n,k) (-2)^k L/(k+1), k <= 2n, of
-    the gf-polynomial's terms over L = lcm(1..2n+1).
+@lru_cache(maxsize=2)
+def _gf_row(n: int, q: int) -> tuple[tuple[int, ...], int]:
+    """The coefficients d_k = C(2n,k) (-2)^k (L/(k+1)) q^(2n-k), k <= 2n, of
+    the gf-polynomial's terms at x = p/q, over L q^(2n), L = lcm(1..2n+1).
 
     Sweeps visit the 2n+1 points of one n in a row (and so do the pool's
-    chunks), so a few rows cover them.
+    chunks), and `gfpoly_lhs` writes them all over q = 2n+1.
     """
     m = 2 * n
     lcm = math.lcm(*range(1, m + 2))
-    return tuple(math.comb(m, k) * (-2) ** k * (lcm // (k + 1)) for k in range(m + 1)), lcm
+    coeffs = tuple(math.comb(m, k) * (-2) ** k * (lcm // (k + 1)) * q ** (m - k) for k in range(m + 1))
+    return coeffs, lcm * q**m
 
 
 def gfpoly_lhs(n: int, x: Fraction) -> Fraction:
     """sum_{k=0}^{2n} (-1/2)^k C(2n,k) 4^k x^k / (k+1)  (equals (-2x)^k terms).
 
-    With x = p/q, every term is an integer over L q^(2n): c_k p^k q^(2n-k)
-    with c_k from `_gf_row`, summed by homogeneous Horner in (p, q).
+    With x = p/q written as p'/q' over q' = lcm(q, 2n+1), every term is an
+    integer over L q'^(2n): d_k p'^k with d_k from `_gf_row(n, q')`, summed
+    by Horner's rule in p'.  So the points j/(2n+1) of one n share a row.
     """
-    p, q = x.numerator, x.denominator
-    coeffs, lcm = _gf_row(n)
+    q = math.lcm(x.denominator, 2 * n + 1)
+    coeffs, den = _gf_row(n, q)
+    p = x.numerator * (q // x.denominator)
     total = coeffs[-1]
-    q_power = 1
-    for c in reversed(coeffs[:-1]):
-        q_power *= q
-        total = total * p + c * q_power
-    return Fraction(total, lcm * q_power)
+    for d in reversed(coeffs[:-1]):
+        total = total * p + d
+    return Fraction(total, den)
 
 
 def gfpoly_rhs(n: int, x: Fraction) -> Fraction:

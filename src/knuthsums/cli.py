@@ -10,6 +10,7 @@ Rationals cross the wire as exact "p/q" strings, never floats.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import sys
@@ -316,5 +317,12 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry: freeze the import-time heap, which lives until
+    exit, so no collection walks it; then exit with `main`'s code."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

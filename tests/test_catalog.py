@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from knuthsums import catalog
+from knuthsums import abel, catalog
 from knuthsums.catalog import (
     DEFAULT_ELL_GRID,
     REGISTRY,
@@ -192,9 +192,46 @@ def test_gf_polynomial_lhs_equals_per_term_fraction_sum(n, x):
 def test_gf_row_cache_equals_fresh_rows_and_is_bounded():
     assert catalog._gf_row.cache_parameters()["maxsize"] is not None
     for n in range(41):
-        fresh = catalog._gf_row.__wrapped__(n)
-        assert catalog._gf_row(n) == fresh
-        assert catalog._gf_row(n) == fresh  # read back from the cache
+        fresh = catalog._gf_row.__wrapped__(n, 2 * n + 1)
+        assert catalog._gf_row(n, 2 * n + 1) == fresh
+        assert catalog._gf_row(n, 2 * n + 1) == fresh  # read back from the cache
+
+
+def test_gf_points_of_one_n_share_one_row():
+    # j/(2n+1) reduces to any divisor of 2n+1 as its denominator, yet every
+    # point of one n reads the row over 2n+1
+    for n in range(41):
+        catalog._gf_row.cache_clear()
+        for j in range(1, 2 * n + 2):
+            catalog.gfpoly_lhs(n, F(j, 2 * n + 1))
+        assert catalog._gf_row.cache_info().misses == 1
+
+
+SHIFTED_EVALUATORS = [
+    catalog.prop1_valid, catalog.prop1_lhs, catalog.prop1_rhs, catalog.prop2_lhs, catalog.prop2_rhs,
+    abel.abel1_valid, abel.abel1_lhs, abel.abel1_rhs,
+]
+
+
+def _outcome(fn, n, ell):
+    """fn(n, ell), or the type of the exception it raises."""
+    try:
+        return fn(n, ell)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("fn", SHIFTED_EVALUATORS, ids=lambda fn: f"{fn.__module__}.{fn.__name__}")
+def test_shifted_evaluators_take_a_shift_as_text_fraction_or_int(fn):
+    # the same shift gives the same result whichever exact type carries it
+    for n in range(9):
+        for a, b in ((1, 2), (-1, 3), (7, 5), (-5, 2), (2, 1), (-2, 1), (-11, 1), (0, 1)):
+            expected = _outcome(fn, n, F(a, b))
+            assert _outcome(fn, n, f"{a}/{b}") == expected, (n, a, b)
+            if b == 1:
+                assert _outcome(fn, n, a) == expected, (n, a)
+        with pytest.raises(TypeError):
+            fn(n, 0.5)
 
 
 def _gfpoly_rhs_by_fractions(n, x):

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -526,13 +527,10 @@ def test_list_text_and_json(capsys):
 def test_closed_pipe_exits_quietly(jobs):
     # the reader stops after one line, as `| head -1` does, while the sweep
     # still has far more than a pipe's buffer to write
-    src = os.path.dirname(os.path.dirname(knuthsums.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.Popen(
         [sys.executable, "-m", "knuthsums", "verify", "--identity", "all",
          "--n-max", "30", "--format", "json", "--jobs", jobs],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(),
     )
     assert json.loads(proc.stdout.readline())["identity"] == "abel-first"
     proc.stdout.close()
@@ -540,14 +538,84 @@ def test_closed_pipe_exits_quietly(jobs):
     assert (proc.returncode, err) == (1, "")
 
 
-def test_module_entry_point():
-    # the child imports the same package as this process, installed or not
+def _child_env() -> dict:
+    """The environment of a child that imports the same package as this
+    process, installed or not."""
     src = os.path.dirname(os.path.dirname(knuthsums.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "knuthsums", "verify", "--identity",
          "knuth-old-sum", "--n-max", "10", "--format", "summary"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "TOTAL" in proc.stdout
+
+
+def _console_script() -> str:
+    """The `knuthsums` entry of `[project.scripts]` in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        return tomllib.load(f)["project"]["scripts"]["knuthsums"]
+
+
+def test_console_script_is_the_process_entry():
+    assert _console_script() == "knuthsums.cli:run"
+
+
+# How each process entry starts: `python -m knuthsums` as runpy runs it, and
+# the console script as the wrapper an installer writes for its entry.
+LAUNCHES = {
+    "module": "runpy.run_module('knuthsums', run_name='__main__', alter_sys=True)\n",
+    "console-script": "from {module} import {attr}\nsys.exit({attr}())\n",
+}
+
+
+@pytest.mark.parametrize("launch", sorted(LAUNCHES))
+def test_process_entry_freezes_the_import_time_heap(launch):
+    # an atexit hook sees the frozen generation at exit, so neither the
+    # run's collections nor the collection at shutdown walk the imports
+    module, attr = _console_script().split(":")
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "before = gc.get_freeze_count()\n"
+        "atexit.register(lambda: print(before, gc.get_freeze_count(), file=sys.stderr))\n"
+        + LAUNCHES[launch].format(module=module, attr=attr)
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", "--identity", "knuth-old-sum", "--n-max", "10"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "TOTAL" in proc.stdout
+    before, after = map(int, proc.stderr.split())
+    assert after > before
+
+
+def test_main_leaves_the_freeze_count_as_it_found_it(capsys):
+    before = gc.get_freeze_count()
+    for argv in (("verify", "--identity", "knuth-old-sum", "--n-max", "2"), ("list",)):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("fail_fast", [(), ("--fail-fast",)], ids=["all", "fail-fast"])
+def test_pooled_process_prints_the_serial_records(fail_fast):
+    # pool workers fork from a process whose import-time heap is frozen
+    def records(jobs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "knuthsums", "verify", "--identity", "all", "--n-max", "12",
+             "--ell=7/5,-1/3,2,-2,1/2", "--format", "json", "--jobs", jobs, *fail_fast],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        rows = [json.loads(line) for line in proc.stdout.splitlines()]
+        return proc.returncode, [{k: v for k, v in row.items() if k != "micros"} for row in rows]
+
+    serial = records("1")
+    assert serial[0] == 0 and len(serial[1]) > 400
+    assert records("2") == serial

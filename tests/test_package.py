@@ -177,3 +177,24 @@ def test_no_module_reads_a_private_name_of_core():
                 continue
             private += [(module, name) for name in names if name.startswith("_")]
     assert private == []
+
+
+INTERPRETER_WIDE = {("gc", "freeze"), ("gc", "disable"), ("gc", "set_threshold"), ("sys", "set_int_max_str_digits")}
+
+
+def test_only_the_process_entry_sets_interpreter_wide_state():
+    # tests and the benchmark's tracer call cli.main in process, so only
+    # cli.run, the process entry, may change the collector or the int limit
+    found = []
+    for module, tree in _module_trees().items():
+        for statement in tree.body:
+            owner = statement.name if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(statement):
+                if isinstance(node, ast.ImportFrom) and node.module in ("gc", "sys"):
+                    found += [(module, owner, f"{node.module}.{alias.name}") for alias in node.names
+                              if (node.module, alias.name) in INTERPRETER_WIDE]
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    target = (ast.unparse(node.func.value), node.func.attr)
+                    if target in INTERPRETER_WIDE:
+                        found.append((module, owner, ".".join(target)))
+    assert found == [("cli", "run", "gc.freeze")]
