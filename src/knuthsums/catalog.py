@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from typing import Callable, Iterator, NamedTuple
 
 from . import abel, legendre
@@ -435,18 +434,22 @@ def run_sweep(
     fail_fast: bool = False,
 ) -> Iterator[VerificationReport]:
     """Verify every case of the named identities, as an iterator of reports
-    sorted by (identity, n, shift) whatever jobs is; unknown names raise
-    KeyError at the call.  Results are read in case order and yielded in
-    blocks of one identity at one n (a serial sweep holds one block), so
-    with fail_fast they are the cases through the first failure.
+    in (identity, n, shift) order whatever jobs is.  The cases are
+    evaluated in that order too, the serial path as the iterator is read,
+    so with fail_fast the reports are the cases through the first failure.
+
+    A shift may be any exact type `core.as_rational` takes.  Unknown names
+    raise KeyError, and a shift that is not exact (a float) TypeError, at
+    the call.
     """
     unknown = [n for n in names if n not in REGISTRY]
     if unknown:
         raise KeyError(f"unknown identities: {', '.join(unknown)}; valid keys: {', '.join(sorted(REGISTRY))}")
+    grid = tuple(sorted(map(as_rational, ell_grid)))
     cases = (
         (name, params)
         for name in sorted(names)
-        for params in iter_cases(REGISTRY[name], n_max, ell_grid)
+        for params in iter_cases(REGISTRY[name], n_max, grid)
     )
     # a pool forks all its workers at the first submit: ask for no more
     # than there are cases, nor than the CPUs this process may run on
@@ -455,12 +458,9 @@ def run_sweep(
     if workers > 1:
         cases = list(cases)  # pool.map submits them all at once anyway
         workers = min(workers, len(cases))
-    results = _pool_map(cases, workers) if workers > 1 else map(_verify_case, cases)
-    if fail_fast:
-        results = _through_first_failure(results)
-    key = _report_key(ell_grid)
-    blocks = groupby(results, lambda rep: (rep.identity, rep.params[0]))
-    return (rep for _, block in blocks for rep in sorted(block, key=key))
+    # a generator on either path, so that the caller can close() it
+    results = _pool_map(cases, workers) if workers > 1 else (_verify_case(case) for case in cases)
+    return _through_first_failure(results) if fail_fast else results
 
 
 def _pool_map(cases, workers):
@@ -480,20 +480,3 @@ def _through_first_failure(reports):
         yield rep
         if rep.status == "fail":
             return
-
-
-def _report_key(ell_grid):
-    """The key (identity, n, shift rank), a shift looked up by its integer
-    pair so no Fraction is hashed; x points come in order already."""
-    rank = {(ell.numerator, ell.denominator): r for r, ell in enumerate(sorted(ell_grid))}
-
-    def key(rep):
-        name, ell = rep.params[-1]
-        return rep.identity, rep.params[0][1], rank[ell.numerator, ell.denominator] if name == "ell" else 0
-
-    return key
-
-
-def sort_reports(reports: list[VerificationReport], ell_grid: tuple[Fraction, ...]) -> None:
-    """Sort reports in place in `run_sweep`'s order."""
-    reports.sort(key=_report_key(ell_grid))

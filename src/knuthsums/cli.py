@@ -232,21 +232,26 @@ def _wz_rows(checks: tuple[Identity, ...], n: int, ell: Fraction) -> list[Verifi
 
 
 def cmd_wz(args) -> int:
+    """Check the selected pairs at every (n, l) and write the records in
+    `verify`'s order: by check, then n, then shift, all ascending."""
     # imported here, not at module level, so that `verify` never loads wz
     from . import wz
 
     pairs = wz.certificates()
     names = _select(args.certificate, pairs, "certificate")
     n_max, grid = _sweep_grid(args)
-    checks = [_wz_checks(pairs[name]) for name in names]
+    checks = [_wz_checks(pairs[name]) for name in sorted(names)]
     reports: list[VerificationReport] = []
-    # the case order (pair, l, n) fixes which prefix --fail-fast prints
-    for pair_checks, ell, n in itertools.product(checks, grid, range(n_max + 1)):
+    # cases run (pair, l, n), so that the row bundles of n and n+1 at one
+    # shift meet in turn; pairs and shifts ascend, so the prefix that
+    # --fail-fast prints does not depend on the order they were listed in
+    for pair_checks, ell, n in itertools.product(checks, sorted(grid), range(n_max + 1)):
         rows = _wz_rows(pair_checks, n, ell)
         reports.extend(rows)
         if args.fail_fast and any(r.status == "fail" for r in rows):
             break
-    catalog.sort_reports(reports, grid)
+    # stable: within one (check, n) the shifts keep their ascending order
+    reports.sort(key=lambda rep: (rep.identity, rep.params[0][1]))
     return _exit_code(_emit(reports, args.format, sys.stdout))
 
 

@@ -35,13 +35,15 @@ from fractions import Fraction
 from .core import Record, as_rational
 
 
-class GammaExpr:
+class GammaExpr(Record):
     """Formal product scalar * prod Gamma(arg)^exp over rational arguments
     and integer exponents (an int, or a Fraction with denominator 1).
     Duplicate arguments merge and the factors are sorted by argument, so
     equal products compare equal."""
 
-    __slots__ = ("factors", "scalar")
+    __slots__ = _fields = ("factors", "scalar")
+    factors: tuple[tuple[Fraction | int, int], ...]
+    scalar: Fraction | int
 
     def __init__(self, factors, scalar: Fraction | int = 1) -> None:
         items = factors.items() if isinstance(factors, dict) else factors
@@ -56,16 +58,8 @@ class GammaExpr:
         s = as_rational(scalar)
         if s == 0:
             raise ValueError("GammaExpr scalar must be nonzero")
-        self.factors = tuple(sorted((a, e) for a, e in merged.items() if e))
-        self.scalar: Fraction | int = s
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GammaExpr):
-            return NotImplemented
-        return self.factors == other.factors and self.scalar == other.scalar
-
-    def __hash__(self) -> int:
-        return hash((self.factors, self.scalar))
+        object.__setattr__(self, "factors", tuple(sorted((a, e) for a, e in merged.items() if e)))
+        object.__setattr__(self, "scalar", s)
 
     def __repr__(self) -> str:
         parts = " * ".join(f"G({a})^{e}" for a, e in self.factors)

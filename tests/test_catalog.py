@@ -511,11 +511,12 @@ def test_run_sweep_evaluates_cases_as_it_is_read(monkeypatch):
     _recording(monkeypatch, "knuth-old-sum", later)
     reports = run_sweep(["knuth-old-sum", "abel-second"], 30)
     assert first == later == []
-    assert next(reports).params == (("n", 0),)
-    # block n = 0, and the first case of the next block, which ends it
-    assert first == [{"n": 0}, {"n": 1}]
+    for n in range(31):
+        assert next(reports).params == (("n", n),)
+        # the case just read and the cases before it, none ahead of them
+        assert first == [{"n": m} for m in range(n + 1)]
     assert later == []
-    assert [r.identity for r in reports] == ["abel-second"] * 30 + ["knuth-old-sum"] * 31
+    assert [r.identity for r in reports] == ["knuth-old-sum"] * 31
 
 
 def test_run_sweep_yields_whole_sorted_blocks(monkeypatch):
@@ -525,8 +526,28 @@ def test_run_sweep_yields_whole_sorted_blocks(monkeypatch):
     reports = run_sweep(["prop1-general-ell"], 3, grid)
     block = [next(reports) for _ in grid]
     assert [r.params for r in block] == [(("n", 0), ("ell", ell)) for ell in sorted(grid)]
-    # every shift of n = 0, in grid order, then the first shift of n = 1
-    assert calls == [{"n": 0, "ell": ell} for ell in grid] + [{"n": 1, "ell": grid[0]}]
+    # exactly the cases read: every shift of n = 0, in ascending order
+    assert calls == [{"n": 0, "ell": ell} for ell in sorted(grid)]
+
+
+def test_run_sweep_takes_a_shift_as_text_fraction_or_int(monkeypatch):
+    def strip(reports):
+        return [(r.identity, r.params, r.lhs, r.rhs, r.status, r.reason) for r in reports]
+
+    names = ["prop1-general-ell", "prop2-general-ell", "abel-first"]
+    fractions = strip(run_sweep(names, 4, (F(1, 3), F(1, 2))))
+    assert strip(run_sweep(names, 4, ("1/2", "1/3"))) == fractions
+    assert strip(run_sweep(names, 4, ("1/3", F(1, 2)))) == fractions
+    fractions = strip(run_sweep(names, 4, (F(-2), F(1), F(0))))
+    assert strip(run_sweep(names, 4, (1, -2, 0))) == fractions
+    assert strip(run_sweep(names, 4, ("1", "-2", "0"))) == fractions
+    # a float is refused at the call, before any case is evaluated
+    calls = []
+    _recording(monkeypatch, "prop1-general-ell", calls)
+    for grid in ((0.5, F(1, 3)), (F(1, 3), 0.5)):
+        with pytest.raises(TypeError):
+            run_sweep(["prop1-general-ell"], 4, grid)
+    assert calls == []
 
 
 @pytest.mark.parametrize("fail_fast", [False, True])

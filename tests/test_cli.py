@@ -139,6 +139,20 @@ def test_non_ascii_digits_are_config_error(capsys):
         assert "not an exact rational literal" in err and "٣/٤" in err
 
 
+def _without_micros(out):
+    """The JSON records of `out` with their timing, which legitimately varies, dropped."""
+    return [{k: v for k, v in json.loads(line).items() if k != "micros"} for line in out.splitlines()]
+
+
+def _prop1_wrong_at(monkeypatch, n_bad, ell_bad):
+    ident = REGISTRY["prop1-general-ell"]
+
+    def rhs(n, ell):
+        return ident.rhs(n, ell) + (n == n_bad and ell == ell_bad)
+
+    monkeypatch.setitem(REGISTRY, ident.name, dataclasses.replace(ident, rhs=rhs))
+
+
 def test_fail_fast_prefix_and_order_with_unsorted_grid(capsys, monkeypatch):
     argv = ["verify", "--identity", "all", "--n-max", "12", "--ell=7/5,-1/3,2,-2,1/2",
             "--format", "json", "--fail-fast"]
@@ -163,32 +177,59 @@ def test_fail_fast_prefix_and_order_with_unsorted_grid(capsys, monkeypatch):
         for n in range(13) for p in params(ident, n)
     ]
 
-    # the first failure, in sweep order, is prop1 at n = 5, l = 2: the
-    # shifts -2 and 1/2 come after it in the grid and are never checked
-    ident = REGISTRY["prop1-general-ell"]
-
-    def rhs(n, ell):
-        return ident.rhs(n, ell) + (n == 5 and ell == 2)
-
-    monkeypatch.setitem(REGISTRY, "prop1-general-ell", dataclasses.replace(ident, rhs=rhs))
-    outputs = []
+    # the first failure, in sweep order, is prop1 at n = 5, l = -1/3: the
+    # shifts 1/2, 7/5 and 2 come after it in the sorted grid and are never
+    # checked, though 7/5 comes before it in the grid as given
+    _prop1_wrong_at(monkeypatch, 5, F(-1, 3))
+    name = "prop1-general-ell"
+    code, full, _ = run_cli(capsys, *argv[:-1])  # the same sweep without --fail-fast
+    assert code == 1
+    lines = full.splitlines(keepends=True)
+    first_fail = next(i for i, line in enumerate(lines) if json.loads(line)["status"] == "fail")
     for jobs in ("1", "2"):
         code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
         assert code == 1
-        outputs.append(out)
         expected = [
-            (name, p) for name, other in sorted(REGISTRY.items()) if name < ident.name
-            for n in range(13) for p in params(other, n)
+            (other, p) for other, ident in sorted(REGISTRY.items()) if other < name
+            for n in range(13) for p in params(ident, n)
         ]
-        expected += [(ident.name, p) for n in range(5) for p in params(ident, n)]
-        expected += [(ident.name, {"n": 5, "ell": ell}) for ell in ("-1/3", "7/5", "2")]
+        expected += [(name, p) for n in range(5) for p in params(REGISTRY[name], n)]
+        expected += [(name, {"n": 5, "ell": ell}) for ell in ("-2", "-1/3")]
         assert keys(out) == expected
         assert json.loads(out.splitlines()[-1])["status"] == "fail"
+        # the full run's output, cut after its first failing record
+        assert _without_micros(out) == _without_micros("".join(lines[: first_fail + 1]))
 
-    def strip_micros(text):
-        return [{k: v for k, v in json.loads(line).items() if k != "micros"} for line in text.splitlines()]
 
-    assert strip_micros(outputs[0]) == strip_micros(outputs[1])
+@pytest.mark.parametrize("fail_fast", [False, True], ids=["whole", "fail-fast"])
+@pytest.mark.parametrize("command, selector, keys, extra", [
+    ("verify", "--identity", ["prop1-general-ell", "knuth-old-sum", "abel-first"], ["--jobs", "1"]),
+    ("verify", "--identity", ["prop1-general-ell", "knuth-old-sum", "abel-first"], ["--jobs", "2"]),
+    ("wz", "--certificate", ["prop1", "negative-control"], []),
+], ids=["verify-jobs-1", "verify-jobs-2", "wz"])
+def test_output_does_not_depend_on_the_order_of_keys_or_shifts(
+    capsys, monkeypatch, command, selector, keys, extra, fail_fast
+):
+    # a grid is a set of sample points: listing its shifts, or the keys, in
+    # another order checks the same cases and prints the same records
+    shifts = ["7/5", "-1/3", "2", "-2", "1/2"]
+    _prop1_wrong_at(monkeypatch, 5, F(-1, 3))  # wz fails on negative-control
+    outputs = []
+    for keys_order, shifts_order in (
+        (list, list),
+        (reversed, reversed),
+        (sorted, lambda entries: sorted(entries, key=F)),
+        (lambda entries: entries[1:] + entries[:1], lambda entries: entries[2:] + entries[:2]),
+    ):
+        code, out, _ = run_cli(
+            capsys, command, f"{selector}={','.join(keys_order(keys))}",
+            f"--ell={','.join(shifts_order(shifts))}", "--n-max", "7", "--format", "json",
+            *extra, *(["--fail-fast"] if fail_fast else []),
+        )
+        assert code == 1
+        outputs.append(_without_micros(out))
+    assert any(r["status"] == "fail" for r in outputs[0])
+    assert all(rows == outputs[0] for rows in outputs)
 
 
 def test_repeated_shift_is_config_error(capsys):

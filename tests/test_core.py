@@ -247,6 +247,18 @@ def test_shift_row_cache_is_bounded():
         _check_shift_rows(ell, 12)
 
 
+def test_shift_row_cache_holds_a_sweep_of_41_shifts():
+    # a sweep visits every shift once per n: a cache smaller than the grid
+    # would evict each shift's rows before the next n reads them
+    from knuthsums.catalog import run_sweep
+
+    grid = [F(j, 7) for j in range(41)]
+    core._shift_rows.cache_clear()
+    reports = list(run_sweep(["prop1-general-ell"], 6, grid))
+    assert len(reports) == 41 * 7 and all(r.status == "pass" for r in reports)
+    assert core._shift_rows.cache_info().misses == 41
+
+
 def test_returned_rows_are_fresh_lists():
     for ell in (F(1, 3), F(-5, 2), -2):
         a, b = ell.numerator, ell.denominator
