@@ -4,84 +4,23 @@ package verifies, as (brute-force LHS, closed-form RHS, validity) triples.
 Each identity is registered under a stable kebab-case key.  The LHS
 evaluator is always the plain finite sum over exact rationals -- the
 universal oracle -- and the RHS is the closed form; verification is exact
-equality, no tolerances anywhere.
+equality, no tolerances anywhere.  The case model and the sweep live in
+`sweep`, which reads this registry when a sweep is started.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator
 
 from . import abel, legendre
-from .core import CertificateDenominatorZero, as_rational, exact_sum, format_rational, gbinom_pair
-from .core import harmonic, odd_harmonic, prop1_row, prop2_row
+from .core import as_rational, exact_sum, gbinom_pair, harmonic, odd_harmonic, prop1_row, prop2_row
 
-# Mixes integers, half-integers and generic rationals; identities skip the
-# grid points their validity predicate excludes.
-DEFAULT_ELL_GRID: tuple[Fraction, ...] = (
-    Fraction(-1, 3),
-    Fraction(-1, 4),
-    Fraction(0),
-    Fraction(1, 4),
-    Fraction(1, 3),
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(3, 2),
-    Fraction(2),
-    Fraction(7, 5),
-)
-
-
-@dataclass(frozen=True)
-class Identity:
-    """A named pair of evaluators over a parameter space.
-
-    The space follows from param_names: one integer parameter is swept
-    0..n_max; a second parameter "ell" crosses it with the rational shift
-    grid, and a second parameter "x" with a per-n set of 2n+1 rational
-    sample points, enough to pin down a degree-2n polynomial identity.
-    """
-
-    name: str
-    summary: str
-    param_names: tuple[str, ...]
-    lhs: Callable[..., Fraction]
-    rhs: Callable[..., Fraction]
-    validity: Callable[..., bool] = field(default=lambda **params: True)
-
-
-class VerificationReport(NamedTuple):
-    """Outcome of one (identity, parameter assignment) check."""
-
-    identity: str
-    params: tuple[tuple[str, int | Fraction], ...]
-    lhs: Fraction | None
-    rhs: Fraction | None
-    status: str  # "pass" | "fail" | "skip"
-    reason: str = ""
-    micros: int = 0
-
-    def to_record(self) -> dict:
-        params = {
-            name: value if isinstance(value, int) else format_rational(value)
-            for name, value in self.params
-        }
-        rec = {
-            "identity": self.identity,
-            "params": params,
-            "lhs": None if self.lhs is None else format_rational(self.lhs),
-            "rhs": None if self.rhs is None else format_rational(self.rhs),
-            "status": self.status,
-            "micros": self.micros,
-        }
-        if self.reason:
-            rec["reason"] = self.reason
-        return rec
+# the case model and the sweep, re-exported: `catalog.verify` is the name
+# `_verify_case` calls, so replacing it here reaches every case of a sweep
+from .sweep import DEFAULT_ELL_GRID, Identity, VerificationReport, iter_cases, run_sweep, verify  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -375,108 +314,7 @@ REGISTRY: dict[str, Identity] = {
 }
 
 
-def iter_cases(
-    ident: Identity, n_max: int, ell_grid: tuple[Fraction, ...] = DEFAULT_ELL_GRID
-) -> Iterator[dict]:
-    """All parameter assignments for a sweep up to n_max (validity-excluded
-    points are still yielded; verify() reports them as skipped)."""
-    first, *rest = ident.param_names
-    if rest not in ([], ["ell"], ["x"]):
-        raise ValueError(f"no parameter space for parameters {ident.param_names}")
-    for n in range(n_max + 1):
-        if rest == ["ell"]:
-            for ell in ell_grid:
-                yield {first: n, "ell": ell}
-        elif rest == ["x"]:
-            for j in range(1, 2 * n + 2):
-                yield {first: n, "x": Fraction(j, 2 * n + 1)}
-        else:
-            yield {first: n}
-
-
-def verify(ident: Identity, params: dict) -> VerificationReport:
-    """Evaluate both sides on one parameter assignment and compare exactly.
-
-    Validity-excluded cases are reported as skipped, never as passes, and
-    so is a WZ certificate whose denominator vanishes at the case; other
-    evaluator errors become failures carrying the error text.
-    """
-    flat = tuple((name, params[name]) for name in ident.param_names)
-    if not ident.validity(**params):
-        return VerificationReport(ident.name, flat, None, None, "skip", "validity excluded")
-    start = time.perf_counter_ns()
-    try:
-        lhs = ident.lhs(**params)
-        rhs = ident.rhs(**params)
-    except Exception as exc:  # captured, not propagated: the report is the API
-        micros = (time.perf_counter_ns() - start) // 1000
-        if isinstance(exc, CertificateDenominatorZero):
-            status, reason = "skip", f"certificate denominator zero: {exc}"
-        else:
-            status, reason = "fail", f"evaluator error: {exc}"
-        return VerificationReport(ident.name, flat, None, None, status, reason, micros)
-    micros = (time.perf_counter_ns() - start) // 1000
-    status = "pass" if lhs == rhs else "fail"
-    reason = "" if status == "pass" else "lhs != rhs"
-    return VerificationReport(ident.name, flat, lhs, rhs, status, reason, micros)
-
-
 def _verify_case(case: tuple[str, dict]) -> VerificationReport:
+    """One case of `run_sweep`, named so that a pool worker can look it up."""
     name, params = case
     return verify(REGISTRY[name], params)
-
-
-def run_sweep(
-    names: list[str],
-    n_max: int,
-    ell_grid: tuple[Fraction, ...] = DEFAULT_ELL_GRID,
-    jobs: int = 1,
-    fail_fast: bool = False,
-) -> Iterator[VerificationReport]:
-    """Verify every case of the named identities, as an iterator of reports
-    in (identity, n, shift) order whatever jobs is.  The cases are
-    evaluated in that order too, the serial path as the iterator is read,
-    so with fail_fast the reports are the cases through the first failure.
-
-    A shift may be any exact type `core.as_rational` takes.  Unknown names
-    raise KeyError, and a shift that is not exact (a float) TypeError, at
-    the call.
-    """
-    unknown = [n for n in names if n not in REGISTRY]
-    if unknown:
-        raise KeyError(f"unknown identities: {', '.join(unknown)}; valid keys: {', '.join(sorted(REGISTRY))}")
-    grid = tuple(sorted(map(as_rational, ell_grid)))
-    cases = (
-        (name, params)
-        for name in sorted(names)
-        for params in iter_cases(REGISTRY[name], n_max, grid)
-    )
-    # a pool forks all its workers at the first submit: ask for no more
-    # than there are cases, nor than the CPUs this process may run on
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, cpus or 1)
-    if workers > 1:
-        cases = list(cases)  # pool.map submits them all at once anyway
-        workers = min(workers, len(cases))
-    # a generator on either path, so that the caller can close() it
-    results = _pool_map(cases, workers) if workers > 1 else (_verify_case(case) for case in cases)
-    return _through_first_failure(results) if fail_fast else results
-
-
-def _pool_map(cases, workers):
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        # a few chunks per worker: cases grow costlier along n, so one
-        # chunk per worker would leave the others idle at the end
-        yield from pool.map(_verify_case, cases, chunksize=max(1, len(cases) // (4 * workers)))
-    finally:  # closed early, this cancels the queued cases instead of running them
-        pool.shutdown(cancel_futures=True)
-
-
-def _through_first_failure(reports):
-    for rep in reports:
-        yield rep
-        if rep.status == "fail":
-            return

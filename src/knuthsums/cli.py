@@ -18,9 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import catalog
-from .catalog import DEFAULT_ELL_GRID, REGISTRY, Identity, VerificationReport, run_sweep
 from .core import format_rational, parse_rational
+from .sweep import DEFAULT_ELL_GRID, Identity, VerificationReport, run_sweep, verify
 
 if TYPE_CHECKING:
     from . import wz
@@ -195,6 +194,9 @@ def _exit_code(counts: dict[str, int]) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here, not at module level, so that `wz` never loads the registry
+    from .catalog import REGISTRY
+
     names = _select(args.identity, REGISTRY, "identity")
     n_max, grid = _sweep_grid(args)
     if args.jobs < 1:
@@ -228,7 +230,7 @@ def _wz_checks(pair: wz.WZPair) -> tuple[Identity, Identity]:
 
 def _wz_rows(checks: tuple[Identity, ...], n: int, ell: Fraction) -> list[VerificationReport]:
     """The records of one pair's checks at one (n, l)."""
-    return [catalog.verify(check, {"n": n, "ell": ell}) for check in checks]
+    return [verify(check, {"n": n, "ell": ell}) for check in checks]
 
 
 def cmd_wz(args) -> int:
@@ -257,6 +259,8 @@ def cmd_wz(args) -> int:
 
 def cmd_list(args) -> int:
     import json
+
+    from .catalog import REGISTRY
 
     entries = [
         {

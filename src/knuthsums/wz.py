@@ -139,7 +139,8 @@ def _rows(
             limits.append((0, 1))
     # lcm is never negative; num * (common // d) keeps a negative d's sign
     common = math.lcm(g_den, *(d for _, d in limits))
-    g = [x * (common // g_den) for x in g] + [num * (common // d) for num, d in limits]
+    g_scale = common // g_den
+    g = [x * g_scale for x in g] + [num * (common // d) for num, d in limits]
     # the bundle is shared by every caller of the cache, so it is read-only
     return Rows(f, f_den, tuple(g), common, MappingProxyType(poles))
 
@@ -276,12 +277,14 @@ def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
         raise _undefined(pair, n, ell)
     lo, hi = pair.rows(n, ell), pair.rows(n + 1, ell)
     common = math.lcm(lo.f_den, hi.f_den, lo.g_den)
+    f1_scale, f0_scale, g_scale = common // hi.f_den, common // lo.f_den, common // lo.g_den
     # each list is indexed by k + 1, for k = -1..2n+3 (G also at 2n+4)
-    f1 = [0, *(x * (common // hi.f_den) for x in hi.f), 0]
-    f0 = [0, *(x * (common // lo.f_den) for x in lo.f), 0, 0, 0]
-    g = [0, *(x * (common // lo.g_den) for x in lo.g), 0, 0]
+    f1 = [0, *(x * f1_scale for x in hi.f), 0]
+    f0 = [0, *(x * f0_scale for x in lo.f), 0, 0, 0]
+    g = [0, *(x * g_scale for x in lo.g), 0, 0]
+    poles = lo.poles
     for k, (a, b, c, d) in enumerate(zip(f1, f0, g[1:], g), start=-1):
-        if a - b - c + d or k in lo.poles or k + 1 in lo.poles:
+        if a - b - c + d or poles and (k in poles or k + 1 in poles):
             return wz_residual(pair, n, k, ell)
     return Fraction(0)
 

@@ -3,6 +3,7 @@ cross-identity structural properties (reindexing, specialization, parity)."""
 
 import concurrent.futures
 import dataclasses
+import json
 import math
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from knuthsums import abel, catalog
+from knuthsums import abel, catalog, cli
 from knuthsums.catalog import (
     DEFAULT_ELL_GRID,
     REGISTRY,
@@ -548,6 +549,29 @@ def test_run_sweep_takes_a_shift_as_text_fraction_or_int(monkeypatch):
         with pytest.raises(TypeError):
             run_sweep(["prop1-general-ell"], 4, grid)
     assert calls == []
+
+
+def test_run_sweep_rejects_a_repeated_name_or_shift(monkeypatch):
+    # each would check every one of its cases twice; the CLI exits 2 for both
+    calls = []
+    _recording(monkeypatch, "prop1-general-ell", calls)
+    for grid, shift in ((("1/2", F(1, 2)), "1/2"), ((F(1, 3), 0, "0"), "0")):
+        with pytest.raises(ValueError, match=f"shift {shift} is given twice"):
+            run_sweep(["prop1-general-ell"], 1, grid)
+    with pytest.raises(ValueError, match="identity knuth-old-sum is given twice"):
+        run_sweep(["knuth-old-sum", "knuth-old-sum"], 1)
+    assert calls == []
+
+
+def test_an_int_shift_is_reported_as_a_fraction(capsys):
+    rep = next(run_sweep(["prop1-general-ell"], 0, (2,)))
+    assert rep.params == (("n", 0), ("ell", F(2))) and isinstance(rep.params[1][1], F)
+    assert rep.to_record()["params"] == {"n": 0, "ell": "2"}
+    line = next(cli._json_lines(cli._rows([rep])))
+    assert json.loads(line)["params"] == {"n": 0, "ell": "2"}
+    argv = ["verify", "--identity", "prop1-general-ell", "--n-max", "0", "--ell", "2", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"n": 0, "ell": "2"}
 
 
 @pytest.mark.parametrize("fail_fast", [False, True])

@@ -495,6 +495,32 @@ def test_wz_trace_hooks_fire(capsys, monkeypatch):
     assert calls["wz_residual"] and calls["F"] and calls["G"]
 
 
+def test_verify_trace_hook_sees_every_case(capsys, monkeypatch):
+    # the benchmark times each case through `catalog.verify`; a sweep that
+    # called `sweep.verify` directly would leave those per-case spans empty
+    from knuthsums import catalog
+
+    calls = collections.Counter()
+    verify = catalog.verify
+
+    def counted(ident, params):
+        calls[ident.name] += 1
+        return verify(ident, params)
+
+    monkeypatch.setattr(catalog, "verify", counted)
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "knuth-old-sum,prop1-general-ell", "--n-max", "3",
+        "--ell=-1,1/2", "--format", "json",
+    )
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and len(records) == 4 + 4 * 2
+    assert calls == collections.Counter(r["identity"] for r in records)
+    calls.clear()
+    reports = list(knuthsums.run_sweep(["abel-second", "gf-polynomial"], 3, jobs=1))
+    assert calls == collections.Counter(r.identity for r in reports)
+    assert calls["gf-polynomial"] == 1 + 3 + 5 + 7
+
+
 def test_benchmark_trace_hooks_exist(monkeypatch):
     # the benchmark's traced run replaces these names; deleting one would
     # pass every other test and crash only that run

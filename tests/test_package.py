@@ -49,19 +49,20 @@ def test_closed_form_modules_load_without_the_registry():
 
 def test_namespace_names_resolve_on_first_access():
     import knuthsums
-    from knuthsums import REGISTRY, catalog, run_sweep, verify
+    from knuthsums import REGISTRY, catalog, run_sweep, sweep, verify
 
     assert REGISTRY is catalog.REGISTRY and "knuth-old-sum" in REGISTRY
-    assert verify is catalog.verify and run_sweep is catalog.run_sweep
-    assert knuthsums.Identity is catalog.Identity
-    assert knuthsums.VerificationReport is catalog.VerificationReport
+    assert verify is catalog.verify is sweep.verify
+    assert run_sweep is catalog.run_sweep is sweep.run_sweep
+    assert knuthsums.Identity is catalog.Identity is sweep.Identity
+    assert knuthsums.VerificationReport is catalog.VerificationReport is sweep.VerificationReport
     with pytest.raises(AttributeError):
         knuthsums.nonexistent
 
 
 def test_verify_loads_neither_wz_nor_gammaprod():
     loaded = _loaded_after(_cli_run("verify", "--identity", "all", "--n-max", "2"))
-    assert {"knuthsums.cli", "knuthsums.catalog", "knuthsums.legendre"} <= loaded
+    assert {"knuthsums.cli", "knuthsums.sweep", "knuthsums.catalog", "knuthsums.legendre"} <= loaded
     assert not loaded & {"knuthsums.wz", "knuthsums.gammaprod"}
 
 
@@ -69,6 +70,20 @@ def test_wz_loads_no_gammaprod():
     loaded = _loaded_after(_cli_run("wz", "--n-max", "1"))
     assert "knuthsums.wz" in loaded
     assert "knuthsums.gammaprod" not in loaded
+
+
+def test_wz_loads_no_registry():
+    # a wz run builds its own identities: the twelve registered ones and
+    # the modules behind them would only be compiled and never read
+    loaded = _loaded_after(_cli_run("wz", "--n-max", "1"))
+    assert {"knuthsums.cli", "knuthsums.sweep", "knuthsums.wz"} <= loaded
+    assert not loaded & {"knuthsums.catalog", "knuthsums.abel", "knuthsums.legendre"}
+
+
+def test_sweep_loads_only_core():
+    # the case model knows no identity: the registry is read when a sweep starts
+    loaded = _loaded_after("import sys\nimport knuthsums.sweep")
+    assert loaded == {"knuthsums", "knuthsums.sweep", "knuthsums.core"}
 
 
 def test_closed_forms_load_no_dataclasses():
