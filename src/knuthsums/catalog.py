@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from . import abel, legendre
-from .core import as_rational, exact_sum, gbinom_pair, harmonic, odd_harmonic, prop1_row, prop2_row
+from .core import as_rational, gbinom_pair, harmonic_row, prop1_row, prop2_row
 
 # the case model and the sweep, re-exported: `catalog.verify` is the name
 # `_verify_case` calls, so replacing it here reaches every case of a sweep
@@ -106,54 +105,54 @@ def prop2_rhs(n: int, ell: Fraction | int) -> Fraction:
 
 
 def hkmix_lhs(n: int) -> Fraction:
-    """sum_{k=0}^{2n} (-1/2)^k C(2k,k) C(2n,k) (3 H_k - 2 H_{2k}), each term
-    passed to `exact_sum` as its H_k part and its H_{2k} part."""
-
-    def terms(k: int) -> Iterator[tuple[int, int]]:
-        c = (-1) ** k * math.comb(2 * k, k) * math.comb(2 * n, k)
-        h, h2 = harmonic(k), harmonic(2 * k)
-        yield 3 * c * h.numerator, 2**k * h.denominator
-        yield -2 * c * h2.numerator, 2**k * h2.denominator
-
-    return exact_sum(pair for k in range(2 * n + 1) for pair in terms(k))
+    """sum_{k=0}^{2n} (-1/2)^k C(2k,k) C(2n,k) (3 H_k - 2 H_{2k}), one
+    integer over 2^(2n) L, H_j = h[j] / L read from `core.harmonic_row(4n)`."""
+    h, den = harmonic_row(4 * n)
+    s = sum(
+        (-1) ** k * math.comb(2 * k, k) * math.comb(2 * n, k) * (3 * h[k] - 2 * h[2 * k]) << (2 * n - k)
+        for k in range(2 * n + 1)
+    )
+    return Fraction(s, den << 2 * n)
 
 
 def hkmix_rhs(n: int) -> Fraction:
     """4^(-n) C(2n,n) H_n."""
-    return Fraction(math.comb(2 * n, n), 4**n) * harmonic(n)
+    h, den = harmonic_row(n)
+    return Fraction(math.comb(2 * n, n) * h[n], den << 2 * n)
 
 
-def _harmonic_over_next(m: int, k: int) -> tuple[int, int]:
-    """The term (-2)^k C(m,k) H_k / (k+1) as an integer pair."""
-    h = harmonic(k)
-    return (-2) ** k * math.comb(m, k) * h.numerator, (k + 1) * h.denominator
+def _over_next_sum(m: int, top: int) -> Fraction:
+    """sum_{k=0}^{top} (-2)^k C(m,k) H_k / (k+1): with H_k = h[k] / L over
+    L = lcm(1..top+1), which every k+1 divides, one integer over L^2."""
+    h, den = harmonic_row(top + 1)
+    s = sum((-2) ** k * math.comb(m, k) * h[k] * (den // (k + 1)) for k in range(top + 1))
+    return Fraction(s, den * den)
 
 
 def oddh_corollary_lhs(m: int) -> Fraction:
     """sum_{k=0}^m (-2)^k C(m,k) H_k / (k+1)."""
-    return exact_sum(_harmonic_over_next(m, k) for k in range(m + 1))
+    return _over_next_sum(m, m)
 
 
 def oddh_corollary_rhs(m: int) -> Fraction:
     """-(2/(m+1)) O_((m+1)/2) for odd m, else 0."""
     if m % 2 == 0:
         return Fraction(0)
-    return Fraction(-2, m + 1) * odd_harmonic((m + 1) // 2)
+    o, den = harmonic_row((m + 1) // 2, odd=True)
+    return Fraction(-2 * o[-1], (m + 1) * den)
 
 
 def intermediate_lhs(n: int) -> Fraction:
     """sum_{k=0}^{2n} (-2)^k C(2n+1,k) H_k / (k+1)."""
-    return exact_sum(_harmonic_over_next(2 * n + 1, k) for k in range(2 * n + 1))
+    return _over_next_sum(2 * n + 1, 2 * n)
 
 
 def intermediate_rhs(n: int) -> Fraction:
-    """(4^n - 1) H_{2n}/(n+1) + H_n/(2(n+1)) + (4^n - 1)/((n+1)(2n+1))."""
+    """(4^n - 1) H_{2n}/(n+1) + H_n/(2(n+1)) + (4^n - 1)/((n+1)(2n+1)),
+    one integer over 2(n+1)(2n+1) L."""
     p = 4**n - 1
-    return (
-        p * harmonic(2 * n) / (n + 1)
-        + harmonic(n) / (2 * (n + 1))
-        + Fraction(p, (n + 1) * (2 * n + 1))
-    )
+    h, den = harmonic_row(2 * n)
+    return Fraction((2 * p * h[2 * n] + h[n]) * (2 * n + 1) + 2 * p * den, 2 * (n + 1) * (2 * n + 1) * den)
 
 
 @lru_cache(maxsize=2)
@@ -201,18 +200,18 @@ def gfpoly_rhs(n: int, x: Fraction) -> Fraction:
 
 def tauraso_lhs(n: int) -> Fraction:
     """sum_{k=0}^{2n} (-1)^k C(2n,k) C(2n+k,k) C(2k,k) 4^(2n-k) H_k."""
-
-    def term(k: int) -> tuple[int, int]:
-        h = harmonic(k)
-        c = (-1) ** k * math.comb(2 * n, k) * math.comb(2 * n + k, k) * math.comb(2 * k, k)
-        return c * 4 ** (2 * n - k) * h.numerator, h.denominator
-
-    return exact_sum(term(k) for k in range(2 * n + 1))
+    h, den = harmonic_row(2 * n)
+    s = sum(
+        (-1) ** k * math.comb(2 * n, k) * math.comb(2 * n + k, k) * math.comb(2 * k, k) * h[k] << 2 * (2 * n - k)
+        for k in range(2 * n + 1)
+    )
+    return Fraction(s, den)
 
 
 def tauraso_rhs(n: int) -> Fraction:
     """C(2n,n)^2 H_{2n}."""
-    return math.comb(2 * n, n) ** 2 * harmonic(2 * n)
+    h, den = harmonic_row(2 * n)
+    return Fraction(math.comb(2 * n, n) ** 2 * h[2 * n], den)
 
 
 # ---------------------------------------------------------------------------

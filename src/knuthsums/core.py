@@ -4,18 +4,19 @@ Every value that crosses a module boundary is an exact rational
 (`fractions.Fraction`); nothing is ever rounded.  This module supplies the
 building blocks: rising and falling factorials, generalized binomial
 coefficients with a rational upper argument, the integer kernels of the
-shifted family, and memoized harmonic / odd-harmonic numbers.  Only this
+shifted family, and the harmonic and odd-harmonic rows.  Only this
 module knows the shifted family's row layout over l = a/b (the prefix
 products U_j of choose(x, j), the M_k of choose(2k+2l, k) and the prefix
 products Q_k of choose(-l-1, k), the last two in one bounded per-shift
 cache); every other module reads it through `prop1_row` / `prop2_row`
-and `prop1_rest` / `prop2_rest`.  Everything but the harmonic numbers
-works in integers inside: a factorial of x = p/q is one integer product
-over a power of q, a shifted sum is accumulated as one integer numerator,
-and every other literal sum of rationals goes through `exact_sum`, one
-integer numerator over the lcm of its denominators; each builds a single
-`Fraction` at the end.  `Record` is the immutable value type the
-closed-form modules build their results on.
+and `prop1_rest` / `prop2_rest`.  All of it works in integers inside: a
+factorial of x = p/q is one integer product over a power of q, a shifted
+sum one integer numerator, H_0..H_m or O_0..O_m one row of prefix sums
+over the lcm of their denominators (`harmonic_row`, read by every
+harmonic sum), and the few other literal sums (abel-second, the Legendre
+moments) go through `exact_sum`, one integer numerator over the lcm of
+its denominators; each builds a single `Fraction` at the end.  `Record`
+is the immutable value type the closed-form modules build their results on.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 # ASCII digits only: `\d` alone would also match other scripts' digits,
@@ -274,27 +276,24 @@ def prop2_rest(k: int, a: int, b: int) -> tuple[int, int]:
     return b2k[k], reflected[k] << k
 
 
-# H_n = 1 + 1/2 + ... + 1/n and O_r = 1 + 1/3 + ... + 1/(2r-1), with
-# H_0 = O_0 = 0, grown on demand.
-_HARMONIC = [Fraction(0)]
-_ODD_HARMONIC = [Fraction(0)]
+def harmonic_row(m: int, odd: bool = False) -> tuple[list[int], int]:
+    """H_0..H_m, or with `odd` O_0..O_m (O_j = 1 + 1/3 + ... + 1/(2j-1)), as
+    integer prefix sums row[j] over one denominator L, the lcm of the
+    denominators 1..m (or 1, 3, ..., 2m-1); row[0] = 0."""
+    if m < 0:
+        raise ValueError(f"harmonic index must be nonnegative, got {m}")
+    dens = range(1, 2 * m, 2) if odd else range(1, m + 1)
+    lcm = math.lcm(*dens)
+    return list(accumulate((lcm // d for d in dens), initial=0)), lcm
 
 
 def harmonic(n: int) -> Fraction:
     """n-th harmonic number H_n as an exact rational."""
-    if n < 0:
-        raise ValueError(f"harmonic index must be nonnegative, got {n}")
-    h = _HARMONIC
-    while len(h) <= n:
-        h.append(h[-1] + Fraction(1, len(h)))
-    return h[n]
+    row, den = harmonic_row(n)
+    return Fraction(row[n], den)
 
 
 def odd_harmonic(r: int) -> Fraction:
     """r-th odd harmonic number O_r = 1 + 1/3 + ... + 1/(2r-1)."""
-    if r < 0:
-        raise ValueError(f"odd-harmonic index must be nonnegative, got {r}")
-    o = _ODD_HARMONIC
-    while len(o) <= r:
-        o.append(o[-1] + Fraction(1, 2 * len(o) - 1))
-    return o[r]
+    row, den = harmonic_row(r, odd=True)
+    return Fraction(row[r], den)

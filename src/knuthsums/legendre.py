@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import as_rational, exact_sum, harmonic, odd_harmonic
+from .core import as_rational, exact_sum, harmonic_row
 
 if TYPE_CHECKING:
     from . import gammaprod
@@ -98,25 +98,21 @@ def log_moment_sqrt_lhs(n: int) -> Fraction:
 
 
 def log_moment_sqrt_rhs(n: int) -> Fraction:
-    """Closed form 4(-1)^n H_n/(2n+1) - 8(-1)^n H_{2n}/(2n+1) - 4(-1)^n/(2n+1)^2."""
-    sign = (-1) ** n
-    return (
-        4 * sign * harmonic(n) / (2 * n + 1)
-        - 8 * sign * harmonic(2 * n) / (2 * n + 1)
-        - Fraction(4 * sign, (2 * n + 1) ** 2)
-    )
+    """Closed form 4(-1)^n H_n/(2n+1) - 8(-1)^n H_{2n}/(2n+1) - 4(-1)^n/(2n+1)^2,
+    one integer over (2n+1)^2 L with H_j = h[j] / L from `core.harmonic_row`."""
+    h, den = harmonic_row(2 * n)
+    return Fraction((-1) ** n * 4 * ((h[n] - 2 * h[2 * n]) * (2 * n + 1) - den), (2 * n + 1) ** 2 * den)
 
 
 def odd_knuth_lhs(n: int) -> Fraction:
-    """sum_{k=0}^n (-1/4)^k C(n,k) C(2k,k) O_k over exact rationals."""
-
-    def term(k: int) -> tuple[int, int]:
-        o = odd_harmonic(k)
-        return (-1) ** k * math.comb(n, k) * math.comb(2 * k, k) * o.numerator, 4**k * o.denominator
-
-    return exact_sum(term(k) for k in range(n + 1))
+    """sum_{k=0}^n (-1/4)^k C(n,k) C(2k,k) O_k, one integer over 4^n L with
+    O_k = o[k] / L read from `core.harmonic_row(n, odd=True)`."""
+    o, den = harmonic_row(n, odd=True)
+    s = sum((-1) ** k * math.comb(n, k) * math.comb(2 * k, k) * o[k] << 2 * (n - k) for k in range(n + 1))
+    return Fraction(s, den << 2 * n)
 
 
 def odd_knuth_rhs(n: int) -> Fraction:
     """Closed form -(1/4)^n C(2n,n) O_n."""
-    return -Fraction(math.comb(2 * n, n), 4**n) * odd_harmonic(n)
+    o, den = harmonic_row(n, odd=True)
+    return Fraction(-math.comb(2 * n, n) * o[n], den << 2 * n)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from knuthsums import abel, catalog, cli
+from knuthsums import abel, catalog, cli, legendre
 from knuthsums.catalog import (
     DEFAULT_ELL_GRID,
     REGISTRY,
@@ -257,19 +257,30 @@ def test_gf_polynomial_rhs_equals_fraction_closed_form(n, x):
 
 
 def test_harmonic_sum_lhs_equal_per_term_fraction_sums():
-    # each exact_sum LHS against its literal summand, one Fraction per term
+    # each harmonic LHS against its literal summand, one Fraction per term,
+    # and each RHS against its closed form, with H_k and O_k summed here
+    # from Fraction(1, j) so that no side shares the row kernel's scale
+    H, O = [F(0)], [F(0)]
+    for j in range(1, 161):
+        H.append(H[-1] + F(1, j))
+        O.append(O[-1] + F(1, 2 * j - 1))
     for n in range(41):
         assert catalog.hkmix_lhs(n) == sum(
-            F((-1) ** k * math.comb(2 * k, k) * math.comb(2 * n, k), 2**k)
-            * (3 * harmonic(k) - 2 * harmonic(2 * k))
+            F((-1) ** k * math.comb(2 * k, k) * math.comb(2 * n, k), 2**k) * (3 * H[k] - 2 * H[2 * k])
             for k in range(2 * n + 1)
         )
+        assert catalog.hkmix_rhs(n) == F(math.comb(2 * n, n), 4**n) * H[n]
         assert catalog.oddh_corollary_lhs(n) == sum(
-            F((-2) ** k * math.comb(n, k), k + 1) * harmonic(k) for k in range(n + 1)
+            F((-2) ** k * math.comb(n, k), k + 1) * H[k] for k in range(n + 1)
         )
+        assert catalog.oddh_corollary_rhs(n) == (F(-2, n + 1) * O[(n + 1) // 2] if n % 2 else 0)
         assert catalog.intermediate_lhs(n) == sum(
-            F((-2) ** k * math.comb(2 * n + 1, k), k + 1) * harmonic(k)
+            F((-2) ** k * math.comb(2 * n + 1, k), k + 1) * H[k]
             for k in range(2 * n + 1)
+        )
+        p = 4**n - 1
+        assert catalog.intermediate_rhs(n) == (
+            p * H[2 * n] / (n + 1) + H[n] / (2 * (n + 1)) + F(p, (n + 1) * (2 * n + 1))
         )
         assert catalog.tauraso_lhs(n) == sum(
             (-1) ** k
@@ -277,8 +288,17 @@ def test_harmonic_sum_lhs_equal_per_term_fraction_sums():
             * math.comb(2 * n + k, k)
             * math.comb(2 * k, k)
             * 4 ** (2 * n - k)
-            * harmonic(k)
+            * H[k]
             for k in range(2 * n + 1)
+        )
+        assert catalog.tauraso_rhs(n) == math.comb(2 * n, n) ** 2 * H[2 * n]
+        assert legendre.odd_knuth_lhs(n) == sum(
+            F((-1) ** k * math.comb(n, k) * math.comb(2 * k, k), 4**k) * O[k] for k in range(n + 1)
+        )
+        assert legendre.odd_knuth_rhs(n) == -F(math.comb(2 * n, n), 4**n) * O[n]
+        sign = (-1) ** n
+        assert legendre.log_moment_sqrt_rhs(n) == (
+            4 * sign * H[n] / (2 * n + 1) - 8 * sign * H[2 * n] / (2 * n + 1) - F(4 * sign, (2 * n + 1) ** 2)
         )
 
 

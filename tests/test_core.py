@@ -272,6 +272,22 @@ def test_returned_rows_are_fresh_lists():
         _check_shift_rows(ell, 8)
 
 
+@example(0, False)
+@example(0, True)
+@example(120, False)
+@example(120, True)
+@given(st.integers(min_value=0, max_value=120), st.booleans())
+def test_harmonic_row_is_the_literal_prefix_sum_over_the_lcm(m, odd):
+    row, den = core.harmonic_row(m, odd=odd)
+    dens = [2 * j - 1 if odd else j for j in range(1, m + 1)]
+    assert len(row) == m + 1 and row[0] == 0
+    assert den == math.lcm(*dens)
+    total = F(0)
+    for j, d in enumerate(dens, start=1):
+        total += F(1, d)
+        assert F(row[j], den) == total
+
+
 def test_harmonic_values():
     assert core.harmonic(0) == 0
     assert core.harmonic(2) == F(3, 2)

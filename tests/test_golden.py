@@ -1,12 +1,12 @@
-"""Golden output: six canonical runs must keep printing the same records.
+"""Golden output: canonical runs must keep printing the same records.
 
-Five runs go through `cli.main` in-process.  The `micros` field of every
+Six runs go through `cli.main` in-process.  The `micros` field of every
 record (wall-clock timing) is dropped before hashing, so what is pinned is
 exactly the "same results" of the design rule: every record's identity,
 parameters, both sides, status and reason, in order, plus the exit code.
-The fifth runs `main` of `perfbench/closed_forms.py`, whose records carry
+One more runs `main` of `perfbench/closed_forms.py`, whose records carry
 no timing, over Kummer, Gauss-second and Legendre-moment draws: the only
-golden run that reaches `hyper`, `gammaprod` and `legendre`.  The
+golden run that reaches `hyper` and `gammaprod`.  The
 `verify --n-max 40` and `wz --n-max 20` runs are pinned once more in
 `--format tsv` (micros column dropped) and `--format summary`.
 
@@ -83,8 +83,20 @@ GOLDEN = [
         1,
         "32f64e7a4065401c2a38c0f96920f95b2b521c05b0f308bfd51619acb6e0611e",
     ),
+    (
+        # the six identities that read harmonic or odd-harmonic rows, to
+        # n = 100: example-3hk-2h2k reads H_0..H_400, past the reach of n = 40
+        (
+            "verify", "--identity",
+            "corollary-intermediate,corollary-odd-harmonic,example-3hk-2h2k,"
+            "legendre-log-moment,odd-knuth-sum,tauraso-h2n",
+            "--n-max", "100", "--format", "json",
+        ),
+        0,
+        "746d04b1404b5b7078f69aa9433bbad070521afd46514f7d383664381bb6fa73",
+    ),
 ]
-IDS = ("verify-n40", "wz-n20", "wz-n6-poles", "wz-n8-pole-grid", "wz-n8-skip-reasons")
+IDS = ("verify-n40", "wz-n20", "wz-n6-poles", "wz-n8-pole-grid", "wz-n8-skip-reasons", "verify-n100-harmonic")
 
 # `--format tsv` and `--format summary` of the first two runs, which the
 # JSON digests above do not reach: the tsv digest drops each line's last

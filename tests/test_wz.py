@@ -353,6 +353,24 @@ def test_residual_grid_equals_pointwise_loop(pair, n, ell):
     _assert_grid_is_pointwise(pair, n, ell)
 
 
+def test_residual_grid_reports_the_first_boundary_pole_it_reads():
+    # a pair whose rows vanish, so every integer residual is 0 and only the
+    # row shift's boundary poles decide.  At l = -(2n+1), G has poles at
+    # k = 2n+1 and 2n+2, and the pointwise loop first reads G(n, 2n+1), at
+    # k = 2n; a grid that tested only `k in poles` would read on to
+    # k = 2n+1, where wz_residual reads G(n, 2n+2) first, and report that pole
+    zero = wz._pair(
+        "zero-rows", lambda n, a, b: ([0] * (n + 1), 1), lambda k, a, b: (0, 1),
+        lambda n, a, b: (1, 1), shifted=True, defined=lambda n, ell: True,
+    )
+    for n in range(6):
+        for ell in (-(2 * n + 1), -(2 * n + 2), F(1, 2)):
+            _assert_grid_is_pointwise(zero, n, F(ell))
+    message = r"^Gamma ratio factor 1\+l vanishes at k=1, l=-1$"
+    with pytest.raises(wz.CertificateDenominatorZero, match=message):
+        wz.residual_grid(zero, 0, F(-1))
+
+
 def test_residual_grid_equals_pointwise_loop_at_every_integer_shift(monkeypatch):
     # integer shifts are where rows go undefined and G has boundary poles
     calls = []
