@@ -169,13 +169,14 @@ def _gf_row(n: int, q: int) -> tuple[tuple[int, ...], int]:
     return coeffs, lcm * q**m
 
 
-def gfpoly_lhs(n: int, x: Fraction) -> Fraction:
+def gfpoly_lhs(n: int, x: Fraction | int) -> Fraction:
     """sum_{k=0}^{2n} (-1/2)^k C(2n,k) 4^k x^k / (k+1)  (equals (-2x)^k terms).
 
     With x = p/q written as p'/q' over q' = lcm(q, 2n+1), every term is an
     integer over L q'^(2n): d_k p'^k with d_k from `_gf_row(n, q')`, summed
     by Horner's rule in p'.  So the points j/(2n+1) of one n share a row.
     """
+    x = as_rational(x)
     q = math.lcm(x.denominator, 2 * n + 1)
     coeffs, den = _gf_row(n, q)
     p = x.numerator * (q // x.denominator)
@@ -185,11 +186,12 @@ def gfpoly_lhs(n: int, x: Fraction) -> Fraction:
     return Fraction(total, den)
 
 
-def gfpoly_rhs(n: int, x: Fraction) -> Fraction:
+def gfpoly_rhs(n: int, x: Fraction | int) -> Fraction:
     """(1 - (1-2x)^(2n+1)) / (2(2n+1)x) for x != 0; the x -> 0 limit is 1.
 
     With x = p/q this is (q^(2n+1) - (q-2p)^(2n+1)) / (2(2n+1) p q^(2n)).
     """
+    x = as_rational(x)
     p, q = x.numerator, x.denominator
     if p == 0:
         return Fraction(1)
@@ -199,13 +201,11 @@ def gfpoly_rhs(n: int, x: Fraction) -> Fraction:
 
 
 def tauraso_lhs(n: int) -> Fraction:
-    """sum_{k=0}^{2n} (-1)^k C(2n,k) C(2n+k,k) C(2k,k) 4^(2n-k) H_k."""
+    """sum_{k=0}^{2n} (-1)^k C(2n,k) C(2n+k,k) C(2k,k) 4^(2n-k) H_k, with
+    (-1)^k C(2n,k) C(2n+k,k) read as c_k of the Legendre row P_2n(2x-1)."""
     h, den = harmonic_row(2 * n)
-    s = sum(
-        (-1) ** k * math.comb(2 * n, k) * math.comb(2 * n + k, k) * math.comb(2 * k, k) * h[k] << 2 * (2 * n - k)
-        for k in range(2 * n + 1)
-    )
-    return Fraction(s, den)
+    c = legendre.shifted_legendre(2 * n).coeffs
+    return Fraction(sum(c[k] * math.comb(2 * k, k) * h[k] << 2 * (2 * n - k) for k in range(2 * n + 1)), den)
 
 
 def tauraso_rhs(n: int) -> Fraction:

@@ -288,12 +288,16 @@ def harmonic_row(m: int, odd: bool = False) -> tuple[list[int], int]:
 
 
 def harmonic(n: int) -> Fraction:
-    """n-th harmonic number H_n as an exact rational."""
+    """n-th harmonic number H_n as an exact rational.  Each call builds the
+    whole row H_0..H_n: a caller that needs many values reads one
+    `harmonic_row(m)` instead."""
     row, den = harmonic_row(n)
     return Fraction(row[n], den)
 
 
 def odd_harmonic(r: int) -> Fraction:
-    """r-th odd harmonic number O_r = 1 + 1/3 + ... + 1/(2r-1)."""
+    """r-th odd harmonic number O_r = 1 + 1/3 + ... + 1/(2r-1).  Each call
+    builds the whole row O_0..O_r: a caller that needs many values reads
+    one `harmonic_row(m, odd=True)` instead."""
     row, den = harmonic_row(r, odd=True)
     return Fraction(row[r], den)

@@ -1,12 +1,12 @@
 """Shifted Legendre polynomials on [0,1], their exact moments, and the
 odd-harmonic analogue of the Reed Dawson sum.
 
-P_n(2x-1) is expanded into monomial coefficients by exact polynomial
-multiplication of the product form
+P_n(2x-1) has the integer monomial coefficients
 
-    P_n(2x-1) = sum_k C(n,k)^2 (x-1)^(n-k) x^k,
+    c_j = (-1)^(n-j) C(n,j) C(n+j,j),
 
-which gives integer coefficients c_j = (-1)^(n-j) C(n,j) C(n+j,j).  The
+each computed from this formula, O(n) per row.  The row is checked by the
+log-moment and Tauraso closed forms, which both read it.  The
 x^p moments over [0,1] reduce to a three-factor Gamma product; the
 log-weighted moment against 1/sqrt(x) is a finite rational because
 int_0^1 x^(j-1/2) ln(x) dx = -4/(2j+1)^2.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import as_rational, exact_sum, harmonic_row
@@ -38,24 +37,11 @@ class ShiftedLegendre(NamedTuple):
         return self.coeffs[0]
 
 
-@lru_cache(maxsize=64)
 def shifted_legendre(n: int) -> ShiftedLegendre:
-    """Expand sum_k C(n,k)^2 (x-1)^(n-k) x^k into monomial coefficients.
-
-    The expansion costs O(n^2) big-integer products and is immutable, so
-    the 64 most recent degrees are kept: a moment grid reads the same n
-    for every p.
-    """
+    """The coefficients c_j = (-1)^(n-j) C(n,j) C(n+j,j) of P_n(2x-1)."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    coeffs = [0] * (n + 1)
-    for k in range(n + 1):
-        w = math.comb(n, k) ** 2
-        p = n - k
-        # (x-1)^p contributes C(p,i) (-1)^(p-i) x^i
-        for i in range(p + 1):
-            coeffs[k + i] += w * math.comb(p, i) * (-1) ** (p - i)
-    return ShiftedLegendre(n, tuple(coeffs))
+    return ShiftedLegendre(n, tuple((-1) ** (n - j) * math.comb(n, j) * math.comb(n + j, j) for j in range(n + 1)))
 
 
 def moment(p: Fraction | int, n: int) -> gammaprod.GammaValue:

@@ -174,6 +174,8 @@ def test_gf_polynomial_values():
     for n in (0, 2, 5):
         assert catalog.gfpoly_lhs(n, F(0)) == catalog.gfpoly_rhs(n, F(0)) == 1
     assert catalog.gfpoly_lhs(2, F(1, 3)) == catalog.gfpoly_rhs(2, F(1, 3))
+    # a point given as text is read exactly, also through verify
+    assert verify(REGISTRY["gf-polynomial"], {"n": 2, "x": "1/3"}).status == "pass"
 
 
 @settings(max_examples=150)
@@ -208,9 +210,10 @@ def test_gf_points_of_one_n_share_one_row():
         assert catalog._gf_row.cache_info().misses == 1
 
 
+# the shifted sides, and gf-polynomial's sides, whose point x is taken the same way
 SHIFTED_EVALUATORS = [
     catalog.prop1_valid, catalog.prop1_lhs, catalog.prop1_rhs, catalog.prop2_lhs, catalog.prop2_rhs,
-    abel.abel1_valid, abel.abel1_lhs, abel.abel1_rhs,
+    abel.abel1_valid, abel.abel1_lhs, abel.abel1_rhs, catalog.gfpoly_lhs, catalog.gfpoly_rhs,
 ]
 
 

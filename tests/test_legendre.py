@@ -19,19 +19,22 @@ def test_expansion_small_cases():
         legendre.shifted_legendre(-1)
 
 
-def test_coefficient_closed_form():
-    for n in range(51):
-        poly = legendre.shifted_legendre(n)
-        for j, c in enumerate(poly.coeffs):
-            assert c == (-1) ** (n - j) * math.comb(n, j) * math.comb(n + j, j)
+def _product_form(n):
+    """P_n(2x-1) = sum_k C(n,k)^2 (x-1)^(n-k) x^k, expanded by polynomial
+    multiplication: an oracle independent of the closed-form row."""
+    coeffs = [0] * (n + 1)
+    for k in range(n + 1):
+        w = math.comb(n, k) ** 2
+        p = n - k
+        # (x-1)^p contributes C(p,i) (-1)^(p-i) x^i
+        for i in range(p + 1):
+            coeffs[k + i] += w * math.comb(p, i) * (-1) ** (p - i)
+    return tuple(coeffs)
 
 
-def test_cached_expansion_equals_fresh_expansion():
-    expand = legendre.shifted_legendre.__wrapped__
-    for n in range(41):
-        assert legendre.shifted_legendre(n) == expand(n)
-        assert legendre.shifted_legendre(n) is legendre.shifted_legendre(n)
-    assert legendre.shifted_legendre.cache_info().maxsize is not None
+def test_row_equals_product_form_expansion():
+    for n in range(61):
+        assert legendre.shifted_legendre(n).coeffs == _product_form(n), n
 
 
 def test_expansion_is_an_immutable_value_type():
@@ -108,6 +111,28 @@ def test_moment_oracle_agreement():
                 assert isinstance(gamma_route, Finite)
                 assert gamma_route.s == 0
                 assert gamma_route.q == expansion
+
+
+def _pochhammer_ratio(p, n):
+    """M(p, n) = (p-n+1)_n / (p+1)_{n+1}, each rising factorial its own
+    product of Fractions: an oracle for both moment routes."""
+    num = den = F(1)
+    for i in range(n):
+        num *= p - n + 1 + i
+    for i in range(n + 1):
+        den *= p + 1 + i
+    return num / den
+
+
+def test_both_moment_routes_equal_the_pochhammer_ratio():
+    # every p = a/d in (-1, 4]: integers p < n give Zero, the rest Finite
+    ps = sorted({F(a, d) for d in (1, 2, 3, 4, 7) for a in range(-d + 1, 4 * d + 1)})
+    for n in range(31):
+        for p in ps:
+            expected = _pochhammer_ratio(p, n)
+            assert legendre.moment_by_expansion(p, n) == expected, (p, n)
+            gamma_route = legendre.moment(p, n)
+            assert gamma_route == (Zero() if expected == 0 else Finite(expected, 0)), (p, n)
 
 
 def test_moment_by_expansion_equals_per_term_fraction_sum():
