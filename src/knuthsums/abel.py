@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .core import as_rational, exact_sum, gbinom_pair, pochhammer, prop1_row
+from .core import as_rational, exact_sum, pochhammer, prop1_closed, prop1_row
 
 
 class SequencePair(NamedTuple):
@@ -97,14 +97,13 @@ def abel1_lhs(n: int, ell: Fraction | int) -> Fraction:
 
 
 def abel1_rhs(n: int, ell: Fraction | int) -> Fraction:
-    """-2^(-n) n choose(n+l, n/2) for even n, else 0, with l = a/b one
-    integer pair (`core.gbinom_pair` of (nb+a, b)) over 2^n."""
+    """-2^(-n) n choose(n+l, n/2) for even n, else 0: -n times the integer
+    pair of `core.prop1_closed`."""
     ell = as_rational(ell)
     if n % 2:
         return Fraction(0)
-    a, b = ell.numerator, ell.denominator
-    num, den = gbinom_pair(n * b + a, b, n // 2)
-    return Fraction(-n * num, den * 2**n)
+    num, den = prop1_closed(n, ell.numerator, ell.denominator)
+    return Fraction(-n * num, den)
 
 
 def abel2_lhs(n: int) -> Fraction:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import abel, legendre
-from .core import as_rational, gbinom_pair, harmonic_row, prop1_row, prop2_row
+from .core import as_rational, harmonic_row, prop1_closed, prop1_row, prop2_closed, prop2_row
 
 # the case model and the sweep, re-exported: `catalog.verify` is the name
 # `_verify_case` calls, so replacing it here reaches every case of a sweep
@@ -29,10 +29,7 @@ from .sweep import DEFAULT_ELL_GRID, Identity, VerificationReport, iter_cases, r
 
 def knuth_lhs(n: int) -> Fraction:
     """sum_{k=0}^n (-1/2)^k C(n,k) C(2k,k)."""
-    s = sum(
-        (-1) ** k * math.comb(n, k) * math.comb(2 * k, k) * 2 ** (n - k)
-        for k in range(n + 1)
-    )
+    s = sum((-1) ** k * math.comb(n, k) * math.comb(2 * k, k) << (n - k) for k in range(n + 1))
     return Fraction(s, 2**n)
 
 
@@ -59,14 +56,11 @@ def prop1_lhs(n: int, ell: Fraction | int) -> Fraction:
 
 
 def prop1_rhs(n: int, ell: Fraction | int) -> Fraction:
-    """2^(-n) choose(n+l, n/2) for even n, else 0, with l = a/b one
-    integer pair (`core.gbinom_pair` of (nb+a, b)) over 2^n."""
+    """2^(-n) choose(n+l, n/2) for even n, else 0: `core.prop1_closed`."""
     ell = as_rational(ell)
     if n % 2:
         return Fraction(0)
-    a, b = ell.numerator, ell.denominator
-    num, den = gbinom_pair(n * b + a, b, n // 2)
-    return Fraction(num, den * 2**n)
+    return Fraction(*prop1_closed(n, ell.numerator, ell.denominator))
 
 
 # choose(k+l, k) for k <= n vanishes exactly at the integer shifts
@@ -85,18 +79,12 @@ def prop2_lhs(n: int, ell: Fraction | int) -> Fraction:
 
 
 def prop2_rhs(n: int, ell: Fraction | int) -> Fraction:
-    """2^(-n) C(n, n/2) / choose(n/2+l, n/2) for even n, else 0.
-
-    With l = a/b and h = n/2, choose(h+l, h) is `core.gbinom_pair` of
-    (hb+a, b); ZeroDivisionError where it vanishes.
-    """
+    """2^(-n) C(n, n/2) / choose(n/2+l, n/2) for even n, else 0:
+    `core.prop2_closed`; ZeroDivisionError where choose(n/2+l, n/2) vanishes."""
     ell = as_rational(ell)
     if n % 2:
         return Fraction(0)
-    a, b = ell.numerator, ell.denominator
-    h = n // 2
-    num, den = gbinom_pair(h * b + a, b, h)
-    return Fraction(math.comb(n, h) * den, 2**n * num)
+    return Fraction(*prop2_closed(n, ell.numerator, ell.denominator))
 
 
 # ---------------------------------------------------------------------------

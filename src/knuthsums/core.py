@@ -8,15 +8,16 @@ shifted family, and the harmonic and odd-harmonic rows.  Only this
 module knows the shifted family's row layout over l = a/b (the prefix
 products U_j of choose(x, j), the M_k of choose(2k+2l, k) and the prefix
 products Q_k of choose(-l-1, k), the last two in one bounded per-shift
-cache); every other module reads it through `prop1_row` / `prop2_row`
-and `prop1_rest` / `prop2_rest`.  All of it works in integers inside: a
-factorial of x = p/q is one integer product over a power of q, a shifted
-sum one integer numerator, H_0..H_m or O_0..O_m one row of prefix sums
-over the lcm of their denominators (`harmonic_row`, read by every
-harmonic sum), and the few other literal sums (abel-second, the Legendre
-moments) go through `exact_sum`, one integer numerator over the lcm of
-its denominators; each builds a single `Fraction` at the end.  `Record`
-is the immutable value type the closed-form modules build their results on.
+cache); every other module reads it through `prop1_row` / `prop2_row`,
+`prop1_rest` / `prop2_rest` and the even-index closed forms `prop1_closed`
+/ `prop2_closed`.  All of it works in integers inside: a factorial of
+x = p/q is one integer product over a power of q, a shifted sum one
+integer numerator, H_0..H_m or O_0..O_m one row of prefix sums over the
+lcm of their denominators (`harmonic_row`, read by every harmonic sum),
+and the few other literal sums (abel-second, the Legendre moments) go
+through `exact_sum`, one integer numerator over the lcm of its
+denominators; each builds a single `Fraction` at the end.  `Record` is
+the immutable value type the closed-form modules build their results on.
 """
 
 from __future__ import annotations
@@ -259,6 +260,19 @@ def prop2_row(n: int, a: int, b: int) -> tuple[list[int], int]:
         raise ValueError(f"choose(k+l,k) vanishes at k={reflected.index(0)} for l={ell}")
     terms = [math.comb(n, k) * b2k[k] * (top // reflected[k]) << (n - k) for k in range(n + 1)]
     return terms, 2**n * top
+
+
+def prop1_closed(n: int, a: int, b: int) -> tuple[int, int]:
+    """2^(-n) choose(n+l, n/2), the sum of `prop1_row` at even n, l = a/b."""
+    num, den = gbinom_pair(n * b + a, b, n // 2)
+    return num, den << n
+
+
+def prop2_closed(n: int, a: int, b: int) -> tuple[int, int]:
+    """2^(-n) C(n, n/2) / choose(n/2+l, n/2), the sum of `prop2_row` at even
+    n, l = a/b; the denominator is 0 where choose(n/2+l, n/2) vanishes."""
+    num, den = gbinom_pair(n // 2 * b + a, b, n // 2)
+    return math.comb(n, n // 2) * den, num << n
 
 
 def prop1_rest(k: int, a: int, b: int) -> tuple[int, int]:

@@ -142,10 +142,14 @@ def run_sweep(
     failure.
 
     A shift may be any exact type `core.as_rational` takes; it is swept,
-    and reported, as a Fraction.  Unknown names raise KeyError, a shift
-    that is not exact (a float) TypeError, and a name or a shift given
-    twice ValueError, at the call.
+    and reported, as a Fraction.  At the call, unknown names raise KeyError,
+    a float shift or a non-int n_max or jobs TypeError, and a name or a
+    shift given twice, a negative n_max or a jobs below 1 ValueError.
     """
+    if not (isinstance(n_max, int) and isinstance(jobs, int)):
+        raise TypeError(f"n_max and jobs must be ints, got {n_max!r} and {jobs!r}")
+    if n_max < 0 or jobs < 1:
+        raise ValueError(f"n_max must be nonnegative and jobs positive, got {n_max} and {jobs}")
     # read here, not at import: `wz` runs load no registry, and each case
     # goes through `catalog.verify`, which a tracer may have replaced
     from . import catalog

@@ -19,9 +19,10 @@ Every pair is built by `_pair` from integer kernels over the shift
 l = a/b: `terms` (`core.prop1_row` or `core.prop2_row`, a registered
 identity's own summand at index 2n) gives a row of integers over one
 denominator, and `rest` (`core.prop1_rest` or `core.prop2_rest`, the
-factor of a term free of n) and `norm` (a normalisation free of k) each
-give one (numerator, denominator) pair; the binomial rows behind them
-are known to `core` only.
+factor of a term free of n) and `norm` (1/RHS(2n), the registered closed
+form `core.prop1_closed` or `core.prop2_closed` turned over, or (4^n, 1)
+for the control) each give one (numerator, denominator) pair, so
+F(n, k) = terms(2n)[k] norm(n); `core` alone knows the binomials.
 From them `_rows` builds and caches one bundle per (pair, n, a, b): row n
 of F and row n of G over k = 0..2n+2, boundary limits included, each over
 one integer denominator.  G is R * F where R is finite and the cancelled
@@ -43,8 +44,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
-from .core import CertificateDenominatorZero, as_rational, gbinom_pair
-from .core import prop1_rest, prop1_row, prop2_rest, prop2_row
+from .core import CertificateDenominatorZero, as_rational
+from .core import prop1_closed, prop1_rest, prop1_row, prop2_closed, prop2_rest, prop2_row
 
 # for annotations only: a pair's pointwise functions of (n, k, l), and its
 # integer kernels over l = a/b, a row of terms over one denominator and a
@@ -105,17 +106,17 @@ def _rows(
     """The row bundle of the pair `_pair` builds from this spec, at n and
     l = a/b, from integer pairs alone: no Fraction is built.
 
-    Row n of F is the integers of terms(2n, a, b), each times 4^n and
-    norm's numerator, over f_den, the product of the two denominators.  On
-    the support G(n, k) = -k((k+offset)b+2a) F(n, k) / (b j(j+1)) with
-    j = 2n+1-k, and j(j+1) divides L = lcm(1..2n+2); one lcm joins
-    f_den b L to the denominators of the two boundary limits, one integer
-    pair each, into g_den.  A residual check at n reads rows n and n+1 and
-    the row sum row n, so a sweep along n keeps hitting a handful of bundles.
+    Row n of F, F(n, k) = terms(2n)[k] norm(n), is the integers of
+    terms(2n, a, b), each times norm's numerator, over f_den, the product
+    of the two denominators.  On the support, with j = 2n+1-k,
+    G(n, k) = -k((k+offset)b+2a) F(n, k) / (b j(j+1)), and j(j+1) divides
+    L = lcm(1..2n+2); one lcm joins f_den b L to the denominators of the
+    two boundary limits, one integer pair each, into g_den.  A residual
+    check at n reads rows n and n+1 and the row sum row n, so a sweep
+    along n keeps hitting a handful of bundles.
     """
     nums, den = terms(2 * n, a, b)
     scale, scale_den = norm(n, a, b)
-    scale <<= 2 * n  # the 4^n every pair carries
     f = tuple(t * scale for t in nums)
     f_den = den * scale_den
     lcm = math.lcm(*range(1, 2 * n + 3))
@@ -152,19 +153,20 @@ def _pair(
     """The pair whose summand is the registered summand `terms` at index
     2n, normalised by a factor free of k.  With l = a/b:
 
-        F(n,k) = terms(2n, a, b)[k] 4^n norm(n, a, b)
+        F(n,k) = terms(2n, a, b)[k] norm(n, a, b)
         R(n,k) = -k(k+offset+2l) / ((k-2n-1)(k-2n-2))
 
-    The kernels are integer: `terms` gives a row of integers over one
-    denominator, `rest` and `norm` a (numerator, denominator) pair whose
-    denominator, of either sign, is nonzero where the pair is defined.
+    norm is 1/RHS(2n) for the registered pairs and (4^n, 1) for the
+    control.  The kernels are integer: `terms` gives a row of integers over
+    one denominator, `rest` and `norm` a (numerator, denominator) pair
+    whose denominator, of either sign, is nonzero where the pair is defined.
     The k-th term is rest(k, a, b), the factors free of n, times
     choose(2n+s, 2n-k) = Gamma(2n+s+1) / (Gamma(k+s+1) Gamma(2n-k+1)),
     with the row shift s = l if `shifted`, else 0.  G is R * F
     (`naive_companion(F, R)`) except at k = 2n+1, 2n+2, where R has its
     pole and F its zero; there G is the limit, the row entry continued:
 
-        G(n,k) = -k(k+offset+2l) rest(k, a, b) 4^n norm(n, a, b) / prod_{t=2n+1}^{k} (t+s)
+        G(n,k) = -k(k+offset+2l) rest(k, a, b) norm(n, a, b) / prod_{t=2n+1}^{k} (t+s)
 
     A vanishing factor t+s is a pole, where G raises
     CertificateDenominatorZero.  F (on k = 0..2n) and G (on k = 1..2n+2)
@@ -201,14 +203,13 @@ def _pair(
 
 
 def register_prop1_certificate() -> WZPair:
-    """The pair for the shifted Reed Dawson sum at even index 2n:
+    """The pair for the shifted Reed Dawson sum at even index 2n, over its RHS:
 
         F(n,k) = (-1/2)^k choose(2n+l, k+l) choose(2k+2l, k) 4^n / choose(2n+l, n)
     """
     return _pair(
         "prop1", prop1_row, prop1_rest,
-        # 1 / choose(2n+l, n), choose(2n+l, n) being the pair of (2nb+a, b)
-        lambda n, a, b: gbinom_pair(2 * n * b + a, b, n)[::-1],
+        lambda n, a, b: prop1_closed(2 * n, a, b)[::-1],
         shifted=True,
         # choose(2n+l, n) vanishes exactly at the integers -2n <= l <= -n-1
         defined=lambda n, ell: ell.denominator != 1 or not -2 * n <= ell.numerator <= -n - 1,
@@ -216,16 +217,14 @@ def register_prop1_certificate() -> WZPair:
 
 
 def register_prop2_certificate() -> WZPair:
-    """The pair for the Pochhammer-normalized variant at even index 2n:
+    """The pair for the Pochhammer-normalized variant at index 2n, over its RHS:
 
         F(n,k) = (-1/2)^k C(2n,k) choose(2k+2l, k) 4^n choose(n+l, n)
                  / (choose(k+l, k) C(2n,n))
     """
     return _pair(
         "prop2", prop2_row, prop2_rest,
-        # choose(n+l, n) / C(2n, n) = P / (b^n n! C(2n, n)), with P / (b^n n!)
-        # the pair of (nb+a, b) and n! C(2n, n) = (2n)! / n!
-        lambda n, a, b: (gbinom_pair(n * b + a, b, n)[0], b**n * math.perm(2 * n, n)),
+        lambda n, a, b: prop2_closed(2 * n, a, b)[::-1],
         shifted=False,
         # choose(k+l, k) = (l+1)_k / k! must stay nonzero through k = 2n+2
         defined=lambda n, ell: ell.denominator != 1 or not -(2 * n + 2) <= ell.numerator <= -1,
@@ -233,12 +232,12 @@ def register_prop2_certificate() -> WZPair:
 
 
 def negative_control() -> WZPair:
-    """A deliberately broken pair: the summand is left unnormalized (its
+    """A deliberately broken pair: the summand is scaled by 4^n alone (its
     row sums grow with n) and the certificate numerator is corrupted to
     k(k+2l+1).  Both the residual check and the row-sum check must fail."""
     return _pair(
         "negative-control", prop1_row, prop1_rest,
-        lambda n, a, b: (1, 1),
+        lambda n, a, b: (1 << 2 * n, 1),
         shifted=True,
         defined=lambda n, ell: True,
         offset=1,
@@ -250,16 +249,18 @@ def certificates() -> dict[str, WZPair]:
     return {p.name: p for p in pairs}
 
 
-def _undefined(pair: WZPair, n: int, ell: Fraction) -> CertificateDenominatorZero:
-    return CertificateDenominatorZero(f"pair {pair.name} undefined at n={n}, l={ell}")
+def _defined_shift(pair: WZPair, ell: Fraction | int, n: int, last: int) -> Fraction | int:
+    """ell as an exact rational, once the pair is defined at rows n and last."""
+    ell = as_rational(ell)
+    if not (pair.defined(n, ell) and pair.defined(last, ell)):
+        raise CertificateDenominatorZero(f"pair {pair.name} undefined at n={n}, l={ell}")
+    return ell
 
 
 def wz_residual(pair: WZPair, n: int, k: int, ell: Fraction | int) -> Fraction:
     """F(n+1,k) - F(n,k) - G(n,k+1) + G(n,k); zero iff the pair equation
     holds at this point."""
-    ell = as_rational(ell)
-    if not (pair.defined(n, ell) and pair.defined(n + 1, ell)):
-        raise _undefined(pair, n, ell)
+    ell = _defined_shift(pair, ell, n, n + 1)
     return pair.F(n + 1, k, ell) - pair.F(n, k, ell) - pair.G(n, k + 1, ell) + pair.G(n, k, ell)
 
 
@@ -272,9 +273,7 @@ def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
     reads a boundary pole of G, is evaluated by `wz_residual`, which
     returns that residual or raises that pole.
     """
-    ell = as_rational(ell)
-    if not (pair.defined(n, ell) and pair.defined(n + 1, ell)):
-        raise _undefined(pair, n, ell)
+    ell = _defined_shift(pair, ell, n, n + 1)
     lo, hi = pair.rows(n, ell), pair.rows(n + 1, ell)
     common = math.lcm(lo.f_den, hi.f_den, lo.g_den)
     f1_scale, f0_scale, g_scale = common // hi.f_den, common // lo.f_den, common // lo.g_den
@@ -291,9 +290,7 @@ def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
 
 def row_sum(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
     """sum_k F(n, k) over row n's support k = 0..2n; 1 for a verified pair."""
-    ell = as_rational(ell)
-    if not pair.defined(n, ell):
-        raise _undefined(pair, n, ell)
+    ell = _defined_shift(pair, ell, n, n)
     row = pair.rows(n, ell)
     return Fraction(sum(row.f), row.f_den)
 

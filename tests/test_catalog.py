@@ -586,6 +586,21 @@ def test_run_sweep_rejects_a_repeated_name_or_shift(monkeypatch):
     assert calls == []
 
 
+def test_run_sweep_rejects_a_bad_n_max_or_jobs(monkeypatch):
+    # at the call, as names and shifts are: a negative n_max would sweep
+    # nothing, a jobs below 1 would run serially, and a float n_max would
+    # raise only when the first case is read; the CLI exits 2 before this
+    calls = []
+    _recording(monkeypatch, "knuth-old-sum", calls)
+    for n_max, jobs in ((-3, 1), (2, 0), (2, -5)):
+        with pytest.raises(ValueError, match="n_max must be nonnegative and jobs positive"):
+            run_sweep(["knuth-old-sum"], n_max, jobs=jobs)
+    for n_max, jobs in ((2.5, 1), ("3", 1), (2, 2.0), (2, None)):
+        with pytest.raises(TypeError, match="n_max and jobs must be ints"):
+            run_sweep(["knuth-old-sum"], n_max, jobs=jobs)
+    assert calls == []
+
+
 def test_an_int_shift_is_reported_as_a_fraction(capsys):
     rep = next(run_sweep(["prop1-general-ell"], 0, (2,)))
     assert rep.params == (("n", 0), ("ell", F(2))) and isinstance(rep.params[1][1], F)

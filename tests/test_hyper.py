@@ -105,6 +105,34 @@ def test_prop2_series_equals_brute_force_lhs():
             assert eval_terminating(prop2_as_2f1(n, ell)) == catalog.prop2_lhs(n, ell)
 
 
+def test_prop2_closed_form_at_even_index_is_kummers_evaluation():
+    # the abstract's 2F1(2) generalisation with a free parameter: prop2's RHS
+    # at index 2n is (1/2)_n / (l+1)_n, which kummer_even(n, l + 1/2) builds
+    # from its own products, so it checks core.prop2_closed independently
+    checked = 0
+    for n in range(31):
+        for d in (1, 2, 3, 4, 7):
+            for a in range(-(n + 1) * d, 2 * d + 1):
+                if math.gcd(a, d) != 1:
+                    continue
+                ell = F(a, d)
+                if d == 1 and -n <= a <= -1:  # (l+1)_n = 0: both raise
+                    with pytest.raises(ZeroDivisionError):
+                        catalog.prop2_rhs(2 * n, ell)
+                    with pytest.raises(ValueError, match="vanishes"):
+                        kummer_even(n, ell + F(1, 2))
+                elif d == 2 and -2 * n <= a + 1 <= 0:
+                    # the series' lower parameter 2l+1 dies in range, so only
+                    # kummer_even raises; the literal sum checks the RHS there
+                    with pytest.raises(ValueError, match="lower parameter"):
+                        kummer_even(n, ell + F(1, 2))
+                    assert catalog.prop2_rhs(2 * n, ell) == catalog.prop2_lhs(2 * n, ell), (n, ell)
+                else:
+                    assert catalog.prop2_rhs(2 * n, ell) == kummer_even(n, ell + F(1, 2)), (n, ell)
+                    checked += 1
+    assert checked == 5766
+
+
 def _eval_from_scratch(series):
     """sum_k prod(upper)_k / prod(lower)_k z^k / k!, every Pochhammer
     multiplied out factor by factor."""
