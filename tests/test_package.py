@@ -213,6 +213,16 @@ def test_no_module_reads_a_private_name_of_core():
     assert private == []
 
 
+def test_the_shifted_closed_forms_are_built_in_core_alone():
+    # prop1's and prop2's closed forms are written once, as core.prop1_closed
+    # and prop2_closed: the registry's RHSs, abel-first and the WZ
+    # normalisations read them and build no binomial pair of their own
+    trees = _module_trees()
+    assert {module for module, tree in trees.items() if "gbinom_pair" in _names_read(tree)} == {"core"}
+    readers = {module for module, tree in trees.items() if "prop1_closed" in _names_read(tree)}
+    assert readers == {"catalog", "abel", "wz"}
+
+
 INTERPRETER_WIDE = {("gc", "freeze"), ("gc", "disable"), ("gc", "set_threshold"), ("sys", "set_int_max_str_digits")}
 
 
