@@ -192,7 +192,7 @@ def tauraso_lhs(n: int) -> Fraction:
     """sum_{k=0}^{2n} (-1)^k C(2n,k) C(2n+k,k) C(2k,k) 4^(2n-k) H_k, with
     (-1)^k C(2n,k) C(2n+k,k) read as c_k of the Legendre row P_2n(2x-1)."""
     h, den = harmonic_row(2 * n)
-    c = legendre.shifted_legendre(2 * n).coeffs
+    c = legendre.shifted_legendre(2 * n)
     return Fraction(sum(c[k] * math.comb(2 * k, k) * h[k] << 2 * (2 * n - k) for k in range(2 * n + 1)), den)
 
 

@@ -9,8 +9,9 @@ module knows the shifted family's row layout over l = a/b (the prefix
 products U_j of choose(x, j), the M_k of choose(2k+2l, k) and the prefix
 products Q_k of choose(-l-1, k), the last two in one bounded per-shift
 cache); every other module reads it through `prop1_row` / `prop2_row`,
-`prop1_rest` / `prop2_rest` and the even-index closed forms `prop1_closed`
-/ `prop2_closed`.  All of it works in integers inside: a factorial of
+their terms continued past the support, `prop1_continued` /
+`prop2_continued`, and the even-index closed forms `prop1_closed` /
+`prop2_closed`.  All of it works in integers inside: a factorial of
 x = p/q is one integer product over a power of q, a shifted sum one
 integer numerator, H_0..H_m or O_0..O_m one row of prefix sums over the
 lcm of their denominators (`harmonic_row`, read by every harmonic sum),
@@ -275,19 +276,25 @@ def prop2_closed(n: int, a: int, b: int) -> tuple[int, int]:
     return math.comb(n, n // 2) * den, num << n
 
 
-def prop1_rest(k: int, a: int, b: int) -> tuple[int, int]:
-    """(-1/2)^k choose(2k+2l, k) = (-1)^k M_k / (2^k b^k k!) at l = a/b:
-    the factor free of n in `prop1_row`'s k-th term, as an integer pair."""
+def prop1_continued(n: int, k: int, a: int, b: int) -> tuple[int, int]:
+    """Term k > n of `prop1_row(n, a, b)` continued past the support and
+    without its vanishing 1/(n-k)!, as one integer pair: there
+    choose(n+l, n-k) (n-k)! = Gamma(n+l+1) / Gamma(k+l+1)
+    = b^(k-n) / prod_{t=n+1}^{k} (tb+a), so the term is
+    (-1)^k M_k b^(k-n) over 2^k b^k k! prod_{t=n+1}^{k} (tb+a), whose
+    denominator is 0 at a pole."""
     m = _grown_rows(a, b, k)[0][k]
-    return -m if k % 2 else m, b**k * math.factorial(k) << k
+    factors = math.prod(range((n + 1) * b + a, k * b + a + 1, b))
+    return (-m if k % 2 else m) * b ** (k - n), b**k * math.factorial(k) * factors << k
 
 
-def prop2_rest(k: int, a: int, b: int) -> tuple[int, int]:
-    """(-1/2)^k choose(2k+2l, k) / choose(k+l, k) = M_k / (2^k Q_k) at
-    l = a/b: the factor free of n in `prop2_row`'s k-th term, as an
-    integer pair whose denominator is 0 where choose(k+l, k) vanishes."""
+def prop2_continued(n: int, k: int, a: int, b: int) -> tuple[int, int]:
+    """Term k > n of `prop2_row(n, a, b)` continued past the support and
+    without its vanishing 1/(n-k)!: C(n,k) (n-k)! = 1 / prod_{t=n+1}^{k} t,
+    so the term is M_k over 2^k Q_k prod_{t=n+1}^{k} t, one integer pair
+    whose denominator is 0 where choose(k+l, k) vanishes."""
     b2k, reflected = _grown_rows(a, b, k)
-    return b2k[k], reflected[k] << k
+    return b2k[k], reflected[k] * math.prod(range(n + 1, k + 1)) << k
 
 
 def harmonic_row(m: int, odd: bool = False) -> tuple[list[int], int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .core import as_rational, exact_sum, harmonic_row
 
@@ -24,24 +24,12 @@ if TYPE_CHECKING:
     from . import gammaprod
 
 
-class ShiftedLegendre(NamedTuple):
-    """Monomial coefficients of P_n(2x-1): coeffs[j] multiplies x^j."""
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    def value_at_one(self) -> int:
-        return sum(self.coeffs)
-
-    def value_at_zero(self) -> int:
-        return self.coeffs[0]
-
-
-def shifted_legendre(n: int) -> ShiftedLegendre:
-    """The coefficients c_j = (-1)^(n-j) C(n,j) C(n+j,j) of P_n(2x-1)."""
+def shifted_legendre(n: int) -> tuple[int, ...]:
+    """The monomial coefficients c_j = (-1)^(n-j) C(n,j) C(n+j,j) of
+    P_n(2x-1): c_j multiplies x^j."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    return ShiftedLegendre(n, tuple((-1) ** (n - j) * math.comb(n, j) * math.comb(n + j, j) for j in range(n + 1)))
+    return tuple((-1) ** (n - j) * math.comb(n, j) * math.comb(n + j, j) for j in range(n + 1))
 
 
 def moment(p: Fraction | int, n: int) -> gammaprod.GammaValue:
@@ -65,22 +53,22 @@ def moment(p: Fraction | int, n: int) -> gammaprod.GammaValue:
 
 def moment_by_expansion(p: Fraction | int, n: int) -> Fraction:
     """Brute-force oracle for moment(): integrate the monomial expansion
-    term by term, sum_j coeffs[j] / (p + j + 1).
+    term by term, sum_j c_j / (p + j + 1).
 
-    With p = a/d the j-th term is coeffs[j] d / (a + (j+1) d), summed
+    With p = a/d the j-th term is c_j d / (a + (j+1) d), summed
     by `core.exact_sum`.
     """
     p = as_rational(p)
     a, d = p.numerator, p.denominator
     if a <= -d:
         raise ValueError(f"moment requires p > -1, got {p}")
-    return exact_sum((c * d, a + (j + 1) * d) for j, c in enumerate(shifted_legendre(n).coeffs))
+    return exact_sum((c * d, a + (j + 1) * d) for j, c in enumerate(shifted_legendre(n)))
 
 
 def log_moment_sqrt_lhs(n: int) -> Fraction:
     """int_0^1 ln(x)/sqrt(x) P_n(2x-1) dx, exactly: each monomial x^j
-    contributes coeffs[j] * (-4/(2j+1)^2)."""
-    return exact_sum((-4 * c, (2 * j + 1) ** 2) for j, c in enumerate(shifted_legendre(n).coeffs))
+    contributes c_j * (-4/(2j+1)^2)."""
+    return exact_sum((-4 * c, (2 * j + 1) ** 2) for j, c in enumerate(shifted_legendre(n)))
 
 
 def log_moment_sqrt_rhs(n: int) -> Fraction:

@@ -13,16 +13,17 @@ the support boundary k = 2n+1, 2n+2 that denominator vanishes while F
 vanishes too, and the product R * F continues to a finite nonzero value:
 the factor 1/Gamma(2n-k+1) inside F cancels through
 
-    (k-2n-1)(k-2n-2) Gamma(2n-k+1) = Gamma(2n-k+3).
+    (k-2n-1)(k-2n-2) Gamma(2n-k+1) = Gamma(2n-k+3) = 1.
 
 Every pair is built by `_pair` from integer kernels over the shift
 l = a/b: `terms` (`core.prop1_row` or `core.prop2_row`, a registered
 identity's own summand at index 2n) gives a row of integers over one
-denominator, and `rest` (`core.prop1_rest` or `core.prop2_rest`, the
-factor of a term free of n) and `norm` (1/RHS(2n), the registered closed
-form `core.prop1_closed` or `core.prop2_closed` turned over, or (4^n, 1)
-for the control) each give one (numerator, denominator) pair, so
-F(n, k) = terms(2n)[k] norm(n); `core` alone knows the binomials.
+denominator, and `continued` (`core.prop1_continued` or
+`core.prop2_continued`, a term past the support without its 1/(2n-k)!)
+and `norm` (1/RHS(2n), the registered closed form `core.prop1_closed`
+or `core.prop2_closed` turned over, or (4^n, 1) for the control) each
+give one (numerator, denominator) pair, so F(n, k) = terms(2n)[k]
+norm(n); `core` alone knows the binomials and where the shift sits.
 From them `_rows` builds and caches one bundle per (pair, n, a, b): row n
 of F and row n of G over k = 0..2n+2, boundary limits included, each over
 one integer denominator.  G is R * F where R is finite and the cancelled
@@ -45,14 +46,16 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .core import CertificateDenominatorZero, as_rational
-from .core import prop1_closed, prop1_rest, prop1_row, prop2_closed, prop2_rest, prop2_row
+from .core import prop1_closed, prop1_continued, prop1_row, prop2_closed, prop2_continued, prop2_row
 
 # for annotations only: a pair's pointwise functions of (n, k, l), and its
-# integer kernels over l = a/b, a row of terms over one denominator and a
+# integer kernels over l = a/b, a row of terms over one denominator, the
+# continued term k of row n and the normalisation of row n, each a
 # (numerator, denominator) pair
 if TYPE_CHECKING:
     Pointwise = Callable[[int, int, Fraction], Fraction]
     TermRow = Callable[[int, int, int], tuple[list[int], int]]
+    Continued = Callable[[int, int, int, int], tuple[int, int]]
     Kernel = Callable[[int, int, int], tuple[int, int]]
 
 
@@ -100,9 +103,7 @@ def naive_companion(F: Pointwise, R: Pointwise) -> Pointwise:
 
 
 @lru_cache(maxsize=4)
-def _rows(
-    terms: TermRow, rest: Kernel, norm: Kernel, shifted: bool, offset: int, n: int, a: int, b: int
-) -> Rows:
+def _rows(terms: TermRow, continued: Continued, norm: Kernel, offset: int, n: int, a: int, b: int) -> Rows:
     """The row bundle of the pair `_pair` builds from this spec, at n and
     l = a/b, from integer pairs alone: no Fraction is built.
 
@@ -110,8 +111,10 @@ def _rows(
     terms(2n, a, b), each times norm's numerator, over f_den, the product
     of the two denominators.  On the support, with j = 2n+1-k,
     G(n, k) = -k((k+offset)b+2a) F(n, k) / (b j(j+1)), and j(j+1) divides
-    L = lcm(1..2n+2); one lcm joins f_den b L to the denominators of the
-    two boundary limits, one integer pair each, into g_den.  A residual
+    L = lcm(1..2n+2).  At k = 2n+1, 2n+2 G is
+    -k((k+offset)b+2a) continued(2n, k) norm(n) / b, one integer pair
+    each, or a pole where the continued term's denominator is 0; one lcm
+    joins f_den b L to their denominators into g_den.  A residual
     check at n reads rows n and n+1 and the row sum row n, so a sweep
     along n keeps hitting a handful of bundles.
     """
@@ -125,17 +128,14 @@ def _rows(
         for k in range(2 * n + 1)
     ]
     g_den = f_den * b * lcm
-    s = a if shifted else 0  # the row shift is s/b
     poles: dict[int, str] = {}
-    limits, factors = [], 1
+    limits = []
     for k in (2 * n + 1, 2 * n + 2):
-        factors *= k * b + s  # prod_{t=2n+1}^{k} (tb + s), the Gamma ratio times b^(k-2n)
-        if factors:
-            num, rest_den = rest(k, a, b)
-            num *= -k * ((k + offset) * b + 2 * a) * scale * b ** (k - 2 * n)
-            limits.append((num, b * rest_den * scale_den * factors))
+        num, den = continued(2 * n, k, a, b)
+        if den:
+            limits.append((-k * ((k + offset) * b + 2 * a) * scale * num, b * den * scale_den))
         else:
-            # tb + a = 0 with a, b coprime needs b = 1: the factor is t = -a
+            # only an integer shift l = a zeroes a factor t + l of the Gamma ratio, at t = -a
             poles[k] = f"Gamma ratio factor {-a}+l vanishes at k={k}, l={a}"
             limits.append((0, 1))
     # lcm is never negative; num * (common // d) keeps a negative d's sign
@@ -147,7 +147,7 @@ def _rows(
 
 
 def _pair(
-    name: str, terms: TermRow, rest: Kernel, norm: Kernel, shifted: bool,
+    name: str, terms: TermRow, continued: Continued, norm: Kernel,
     defined: Callable[[int, Fraction], bool], offset: int = 0,
 ) -> WZPair:
     """The pair whose summand is the registered summand `terms` at index
@@ -158,17 +158,18 @@ def _pair(
 
     norm is 1/RHS(2n) for the registered pairs and (4^n, 1) for the
     control.  The kernels are integer: `terms` gives a row of integers over
-    one denominator, `rest` and `norm` a (numerator, denominator) pair
-    whose denominator, of either sign, is nonzero where the pair is defined.
-    The k-th term is rest(k, a, b), the factors free of n, times
-    choose(2n+s, 2n-k) = Gamma(2n+s+1) / (Gamma(k+s+1) Gamma(2n-k+1)),
-    with the row shift s = l if `shifted`, else 0.  G is R * F
+    one denominator, `continued` and `norm` a (numerator, denominator)
+    pair whose denominator, of either sign, is nonzero where the pair is
+    defined, but for a pole of the continued term.  G is R * F
     (`naive_companion(F, R)`) except at k = 2n+1, 2n+2, where R has its
-    pole and F its zero; there G is the limit, the row entry continued:
+    pole and F its zero; there G is the limit, the row entry continued
+    through its Gamma ratio:
 
-        G(n,k) = -k(k+offset+2l) rest(k, a, b) norm(n, a, b) / prod_{t=2n+1}^{k} (t+s)
+        G(n,k) = -k(k+offset+2l) continued(2n, k, a, b) norm(n, a, b)
 
-    A vanishing factor t+s is a pole, where G raises
+    continued(2n, k) is term k of terms(2n) without its vanishing factor
+    1/Gamma(2n-k+1), which R's denominator turns into Gamma(2n-k+3) = 1.
+    Where its denominator is 0, G has a pole and raises
     CertificateDenominatorZero.  F (on k = 0..2n) and G (on k = 1..2n+2)
     read row n from the bundle `_rows` caches for (n, a, b) and build one
     Fraction per call; like the bundle, they are evaluated only where
@@ -176,7 +177,7 @@ def _pair(
     """
 
     def rows(n: int, ell: Fraction | int) -> Rows:
-        return _rows(terms, rest, norm, shifted, offset, n, ell.numerator, ell.denominator)
+        return _rows(terms, continued, norm, offset, n, ell.numerator, ell.denominator)
 
     def F(n: int, k: int, ell: Fraction | int) -> Fraction:
         if k < 0 or k > 2 * n:
@@ -208,9 +209,8 @@ def register_prop1_certificate() -> WZPair:
         F(n,k) = (-1/2)^k choose(2n+l, k+l) choose(2k+2l, k) 4^n / choose(2n+l, n)
     """
     return _pair(
-        "prop1", prop1_row, prop1_rest,
+        "prop1", prop1_row, prop1_continued,
         lambda n, a, b: prop1_closed(2 * n, a, b)[::-1],
-        shifted=True,
         # choose(2n+l, n) vanishes exactly at the integers -2n <= l <= -n-1
         defined=lambda n, ell: ell.denominator != 1 or not -2 * n <= ell.numerator <= -n - 1,
     )
@@ -223,9 +223,8 @@ def register_prop2_certificate() -> WZPair:
                  / (choose(k+l, k) C(2n,n))
     """
     return _pair(
-        "prop2", prop2_row, prop2_rest,
+        "prop2", prop2_row, prop2_continued,
         lambda n, a, b: prop2_closed(2 * n, a, b)[::-1],
-        shifted=False,
         # choose(k+l, k) = (l+1)_k / k! must stay nonzero through k = 2n+2
         defined=lambda n, ell: ell.denominator != 1 or not -(2 * n + 2) <= ell.numerator <= -1,
     )
@@ -236,9 +235,8 @@ def negative_control() -> WZPair:
     row sums grow with n) and the certificate numerator is corrupted to
     k(k+2l+1).  Both the residual check and the row-sum check must fail."""
     return _pair(
-        "negative-control", prop1_row, prop1_rest,
+        "negative-control", prop1_row, prop1_continued,
         lambda n, a, b: (1 << 2 * n, 1),
-        shifted=True,
         defined=lambda n, ell: True,
         offset=1,
     )

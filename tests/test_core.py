@@ -183,14 +183,29 @@ def _literal_term(name, n, k, ell):
     st.integers(min_value=0, max_value=16),
     st.builds(F, st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=6)),
 )
+@example("prop1", 2, F(-3))  # pole at k = n+1 and n+2
+@example("prop1", 2, F(-4))  # pole at k = n+2 only
+@example("prop2", 2, F(-3))  # choose(k+l, k) vanishes from k = 3
+@example("prop2", 2, F(-4))  # choose(k+l, k) vanishes from k = 4
 def test_summand_kernels_match_gbinom_term_by_term(name, n, ell):
-    # abel-first and the WZ pairs read single terms, not only their sum
-    # and the WZ boundary limits read each term's factor free of n
-    kernel, rest = {
-        "prop1": (core.prop1_row, core.prop1_rest),
-        "prop2": (core.prop2_row, core.prop2_rest),
+    # abel-first and the WZ pairs read single terms, not only their sum,
+    # and the WZ boundary limits read terms k = n+1, n+2 continued past
+    # the support without their 1/(n-k)!, that is through the Gamma ratio
+    # Gamma(n+s+1) / Gamma(k+s+1) = 1 / (choose(k+s, k-n) (k-n)!)
+    kernel, continued = {
+        "prop1": (core.prop1_row, core.prop1_continued),
+        "prop2": (core.prop2_row, core.prop2_continued),
     }[name]
     a, b = ell.numerator, ell.denominator
+    s = ell if name == "prop1" else F(0)
+    for k in (n + 1, n + 2):
+        num, den = continued(n, k, a, b)
+        assert isinstance(num, int) and isinstance(den, int)
+        ratio = core.gbinom(k + s, k - n) * math.factorial(k - n)
+        if ratio == 0 or name == "prop2" and core.gbinom(k + ell, k) == 0:
+            assert den == 0, (k, num)
+        else:
+            assert den != 0 and F(num, den) == _rest_term(name, k, ell) / ratio, k
     if name == "prop2" and b == 1 and -n <= ell <= -1:
         message = f"choose(k+l,k) vanishes at k={-ell} for l={ell}"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -199,8 +214,22 @@ def test_summand_kernels_match_gbinom_term_by_term(name, n, ell):
     terms, den = kernel(n, a, b)
     assert all(isinstance(t, int) for t in terms)
     assert [F(t, den) for t in terms] == [_literal_term(name, n, k, ell) for k in range(n + 1)]
-    for k in range(n + 1):
-        assert F(*rest(k, a, b)) == _rest_term(name, k, ell)
+
+
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.builds(F, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=9)),
+)
+@example(4, F(-3, 2))  # the factor vanishes at k = 2
+def test_prop1_terms_carry_the_last_factor_of_their_central_binomial(n, ell):
+    # abel.abel1_lhs floor-divides term k of prop1_row by kb+2a+b, the last
+    # factor of M_k; a reordered M_k would break it only there
+    a, b = ell.numerator, ell.denominator
+    terms, _ = core.prop1_row(n, a, b)
+    for k in range(1, n):
+        factor = k * b + 2 * a + b
+        if factor:
+            assert terms[k] % factor == 0, (k, terms[k], factor)
 
 
 # negative integers, half-integers and generic shifts, the first few of

@@ -12,9 +12,9 @@ from knuthsums.gammaprod import Finite, Zero
 
 
 def test_expansion_small_cases():
-    assert legendre.shifted_legendre(0).coeffs == (1,)
-    assert legendre.shifted_legendre(1).coeffs == (-1, 2)
-    assert legendre.shifted_legendre(2).coeffs == (1, -6, 6)
+    assert legendre.shifted_legendre(0) == (1,)
+    assert legendre.shifted_legendre(1) == (-1, 2)
+    assert legendre.shifted_legendre(2) == (1, -6, 6)
     with pytest.raises(ValueError):
         legendre.shifted_legendre(-1)
 
@@ -34,27 +34,14 @@ def _product_form(n):
 
 def test_row_equals_product_form_expansion():
     for n in range(61):
-        assert legendre.shifted_legendre(n).coeffs == _product_form(n), n
-
-
-def test_expansion_is_an_immutable_value_type():
-    poly = legendre.shifted_legendre(2)
-    # the repr a frozen dataclass printed for the same value
-    assert repr(poly) == "ShiftedLegendre(n=2, coeffs=(1, -6, 6))"
-    twin = legendre.ShiftedLegendre(2, (1, -6, 6))
-    assert poly == twin and hash(poly) == hash(twin)
-    assert poly != legendre.shifted_legendre(3) and poly != legendre.ShiftedLegendre(2, (1, -6, 7))
-    for field in ("n", "coeffs"):
-        with pytest.raises(AttributeError):
-            setattr(poly, field, 0)
-    assert poly.n == 2 and poly.coeffs == (1, -6, 6)
+        assert legendre.shifted_legendre(n) == _product_form(n), n
 
 
 def test_endpoint_values():
     for n in range(51):
-        poly = legendre.shifted_legendre(n)
-        assert poly.value_at_one() == 1
-        assert poly.value_at_zero() == (-1) ** n
+        row = legendre.shifted_legendre(n)
+        assert sum(row) == 1
+        assert row[0] == (-1) ** n
 
 
 def test_moment_examples():
@@ -138,7 +125,7 @@ def test_both_moment_routes_equal_the_pochhammer_ratio():
 def test_moment_by_expansion_equals_per_term_fraction_sum():
     ps = sorted({F(k, d) for d in (2, 3) for k in range(-2, 13) if F(k, d) > -1})
     for n in range(41):
-        coeffs = legendre.shifted_legendre(n).coeffs
+        coeffs = legendre.shifted_legendre(n)
         for p in ps:
             literal = sum(F(c) / (p + j + 1) for j, c in enumerate(coeffs))
             assert legendre.moment_by_expansion(p, n) == literal, (p, n)
@@ -146,7 +133,7 @@ def test_moment_by_expansion_equals_per_term_fraction_sum():
 
 def test_log_moment_lhs_equals_per_term_fraction_sum():
     for n in range(41):
-        coeffs = legendre.shifted_legendre(n).coeffs
+        coeffs = legendre.shifted_legendre(n)
         literal = sum(F(-4 * c, (2 * j + 1) ** 2) for j, c in enumerate(coeffs))
         assert legendre.log_moment_sqrt_lhs(n) == literal
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knuthsums import cli, wz
+from knuthsums import cli, core, wz
 from knuthsums.catalog import DEFAULT_ELL_GRID
 from knuthsums.core import gbinom
 
@@ -360,8 +360,9 @@ def test_residual_grid_reports_the_first_boundary_pole_it_reads():
     # k = 2n; a grid that tested only `k in poles` would read on to
     # k = 2n+1, where wz_residual reads G(n, 2n+2) first, and report that pole
     zero = wz._pair(
-        "zero-rows", lambda n, a, b: ([0] * (n + 1), 1), lambda k, a, b: (0, 1),
-        lambda n, a, b: (1, 1), shifted=True, defined=lambda n, ell: True,
+        "zero-rows", lambda n, a, b: ([0] * (n + 1), 1),
+        lambda n, k, a, b: (0, core.prop1_continued(n, k, a, b)[1]),
+        lambda n, a, b: (1, 1), defined=lambda n, ell: True,
     )
     for n in range(6):
         for ell in (-(2 * n + 1), -(2 * n + 2), F(1, 2)):
