@@ -328,9 +328,18 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry: freeze the import-time heap, which lives until
-    exit, so no collection walks it; then exit with `main`'s code."""
+    exit, so no collection walks it, and turn the collector back on
+    (`python -m knuthsums` turns it off while the package imports).  Then
+    run `main`, flush its output and leave with its code through
+    `os._exit`, which skips the interpreter's teardown of that heap and
+    every atexit hook.  An exception out of `main`, argparse's SystemExit
+    included, takes the normal exit path."""
     gc.freeze()
-    sys.exit(main())
+    gc.enable()
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

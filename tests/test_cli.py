@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -644,13 +645,17 @@ LAUNCHES = {
 
 @pytest.mark.parametrize("launch", sorted(LAUNCHES))
 def test_process_entry_freezes_the_import_time_heap(launch):
-    # an atexit hook sees the frozen generation at exit, so neither the
-    # run's collections nor the collection at shutdown walk the imports
+    # the exit call sees the frozen generation, so none of the run's
+    # collections walk the imports; the entry leaves through os._exit, so
+    # no atexit hook runs and no collection at shutdown walks them either
     module, attr = _console_script().split(":")
     code = (
-        "import atexit, gc, runpy, sys\n"
+        "import gc, os, runpy, sys\n"
         "before = gc.get_freeze_count()\n"
-        "atexit.register(lambda: print(before, gc.get_freeze_count(), file=sys.stderr))\n"
+        "def _exit(code, exit=os._exit):\n"
+        "    print(before, gc.get_freeze_count(), file=sys.stderr, flush=True)\n"
+        "    exit(code)\n"
+        "os._exit = _exit\n"
         + LAUNCHES[launch].format(module=module, attr=attr)
     )
     proc = subprocess.run(
@@ -661,6 +666,63 @@ def test_process_entry_freezes_the_import_time_heap(launch):
     assert "TOTAL" in proc.stdout
     before, after = map(int, proc.stderr.split())
     assert after > before
+
+
+@pytest.mark.parametrize("launch", sorted(LAUNCHES))
+def test_process_entry_delivers_everything_before_it_leaves(launch, capsys, tmp_path):
+    # the entry leaves through os._exit, which flushes nothing, runs no
+    # atexit hook and joins no process: its output and exit code must be
+    # out, and its pool workers joined, by then.  Each run leads a session
+    # of its own, so a worker left running would still be in its group.
+    module, attr = _console_script().split(":")
+    code = "import runpy, sys\n" + LAUNCHES[launch].format(module=module, attr=attr)
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, output not flushed is lost
+
+    def start(*argv, stdout=subprocess.PIPE):
+        return subprocess.Popen(
+            [sys.executable, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE,
+            text=True, env=env, start_new_session=True,
+        )
+
+    def finish(proc):
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            # the group is empty, or what is left in it is this test's to stop
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+                left = proc.wait()
+            except ProcessLookupError:
+                left = None
+        assert left is None, "the entry left processes running in its group"
+        return proc.returncode, out, err
+
+    sweep = ("verify", "--identity", "all", "--n-max", "10", "--format", "json")
+    _, expected, _ = run_cli(capsys, *sweep)
+    assert len(expected) > 64 * 1024  # more than a pipe holds
+    # through a pipe and to a file, from the pool, with and without --fail-fast
+    returncode, out, err = finish(start(*sweep, "--jobs", "2"))
+    assert (returncode, _without_micros(out), err) == (0, _without_micros(expected), "")
+    with open(tmp_path / "out.json", "w") as f:
+        returncode, _, err = finish(start(*sweep, "--jobs", "2", "--fail-fast", stdout=f))
+    out = (tmp_path / "out.json").read_text()
+    assert (returncode, _without_micros(out), err) == (0, _without_micros(expected), "")
+    # a reader that stops after one line, as `| head -1` does
+    proc = start(*sweep, "--jobs", "2")
+    assert json.loads(proc.stdout.readline())["identity"] == "abel-first"
+    proc.stdout.close()
+    assert finish(proc)[::2] == (1, "")
+
+    # the exit codes, with the summaries and the messages, which hold no timing
+    for argv, returncode, message in (
+        (("wz", "--certificate", "negative-control", "--n-max", "2"), 1, ""),
+        (("verify", "--ell=one"), 2, "error: not an exact rational literal"),
+        (("verify", "--identity", "abel-first", "--ell=-1/2", "--n-max", "2"), 0, "warning: every case was skipped"),
+    ):
+        got = finish(start(*argv))
+        assert got == run_cli(capsys, *argv)
+        assert got[0] == returncode and got[2].startswith(message)
 
 
 def test_main_leaves_the_freeze_count_as_it_found_it(capsys):

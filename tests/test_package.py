@@ -29,10 +29,15 @@ def _loaded_after(code: str) -> set[str]:
 
 
 def _cli_run(*argv: str) -> str:
-    """Code that runs `python -m knuthsums argv` in process, output dropped."""
+    """Code that runs `python -m knuthsums argv` in process, output dropped.
+    The entry leaves through `os._exit`, which here raises SystemExit, so
+    the code after this runs."""
     return (
-        "import contextlib, io, runpy, sys\n"
+        "import contextlib, io, os, runpy, sys\n"
         f"sys.argv = ['knuthsums', *{list(argv)!r}]\n"
+        "def _exit(code):\n"
+        "    raise SystemExit(code)\n"
+        "os._exit = _exit\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
         "        runpy.run_module('knuthsums', run_name='__main__')\n"
@@ -223,12 +228,16 @@ def test_the_shifted_closed_forms_are_built_in_core_alone():
     assert readers == {"catalog", "abel", "wz"}
 
 
-INTERPRETER_WIDE = {("gc", "freeze"), ("gc", "disable"), ("gc", "set_threshold"), ("sys", "set_int_max_str_digits")}
+INTERPRETER_WIDE = {
+    ("gc", "freeze"), ("gc", "disable"), ("gc", "enable"), ("gc", "set_threshold"),
+    ("sys", "set_int_max_str_digits"),
+}
 
 
 def test_only_the_process_entry_sets_interpreter_wide_state():
     # tests and the benchmark's tracer call cli.main in process, so only
-    # cli.run, the process entry, may change the collector or the int limit
+    # the process entry, `__main__` and cli.run, may change the collector
+    # or the int limit
     found = []
     for module, tree in _module_trees().items():
         for statement in tree.body:
@@ -241,4 +250,6 @@ def test_only_the_process_entry_sets_interpreter_wide_state():
                     target = (ast.unparse(node.func.value), node.func.attr)
                     if target in INTERPRETER_WIDE:
                         found.append((module, owner, ".".join(target)))
-    assert found == [("cli", "run", "gc.freeze")]
+    assert sorted(found) == [
+        ("__main__", None, "gc.disable"), ("cli", "run", "gc.enable"), ("cli", "run", "gc.freeze"),
+    ]
