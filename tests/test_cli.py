@@ -692,10 +692,12 @@ def test_process_entry_delivers_everything_before_it_leaves(launch, capsys, tmp_
             # the group is empty, or what is left in it is this test's to stop
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
-                left = proc.wait()
             except ProcessLookupError:
-                left = None
-        assert left is None, "the entry left processes running in its group"
+                left = False
+            else:
+                left = True
+                proc.wait()
+        assert not left, "the entry left processes running in its group"
         return proc.returncode, out, err
 
     sweep = ("verify", "--identity", "all", "--n-max", "10", "--format", "json")
@@ -712,7 +714,8 @@ def test_process_entry_delivers_everything_before_it_leaves(launch, capsys, tmp_
     proc = start(*sweep, "--jobs", "2")
     assert json.loads(proc.stdout.readline())["identity"] == "abel-first"
     proc.stdout.close()
-    assert finish(proc)[::2] == (1, "")
+    returncode, _, err = finish(proc)
+    assert (returncode, err) == (1, "")
 
     # the exit codes, with the summaries and the messages, which hold no timing
     for argv, returncode, message in (
