@@ -1,9 +1,9 @@
 """Exact reduction of formal products of Gamma factors at rational arguments.
 
-One kernel, `reduce_triples`, reduces (num/den) * prod Gamma(p/q)^e given
-as an integer pair and integer triples (p, q, e).  It groups the arguments
-that differ by integers and writes each against its group's smallest
-argument b = p0/q:
+One kernel, `reduce`, reduces (num/den) * prod Gamma(p/q)^e given as an
+integer pair and integer triples (p, q, e).  It groups the arguments that
+differ by integers and writes each against its group's smallest argument
+b = p0/q:
 
     Gamma(b + s) / Gamma(b) = (b)_s = p0 (p0+q) ... (p0+(s-1)q) / q^s.
 
@@ -15,10 +15,9 @@ factorials, Gamma at half-integers through
 
 Every factor is an integer over an integer, so the rational part is one
 integer numerator over one integer denominator and a single `Fraction` is
-built for the result.  The closed forms (`gauss_second_rhs`, and
-`legendre.moment`) pass their triples straight to the kernel; `reduce`
-feeds it from a `GammaExpr`, the formal product over rational arguments,
-which the kernel itself builds only for an Irreducible residual.
+built for the result.  The closed forms, `gauss_second_rhs` and
+`legendre.moment`, build their triples from the integers of their
+parameters and pass them straight to `reduce`.
 
 The result is one of: Finite(q, s) meaning q * pi^(s/2); Zero (a Gamma
 pole survived in denominator position); Pole (one survived in the
@@ -35,40 +34,9 @@ from fractions import Fraction
 from .core import Record, as_rational
 
 
-class GammaExpr(Record):
-    """Formal product scalar * prod Gamma(arg)^exp over rational arguments
-    and integer exponents (an int, or a Fraction with denominator 1).
-    Duplicate arguments merge and the factors are sorted by argument, so
-    equal products compare equal."""
-
-    __slots__ = _fields = ("factors", "scalar")
-    factors: tuple[tuple[Fraction | int, int], ...]
-    scalar: Fraction | int
-
-    def __init__(self, factors, scalar: Fraction | int = 1) -> None:
-        items = factors.items() if isinstance(factors, dict) else factors
-        merged: dict[Fraction | int, int] = {}
-        for arg, exp in items:
-            if not isinstance(exp, int):
-                if not isinstance(exp, Fraction) or exp.denominator != 1:
-                    raise ValueError(f"GammaExpr exponent must be an integer, got {exp}")
-                exp = exp.numerator
-            a = as_rational(arg)
-            merged[a] = merged.get(a, 0) + exp
-        s = as_rational(scalar)
-        if s == 0:
-            raise ValueError("GammaExpr scalar must be nonzero")
-        object.__setattr__(self, "factors", tuple(sorted((a, e) for a, e in merged.items() if e)))
-        object.__setattr__(self, "scalar", s)
-
-    def __repr__(self) -> str:
-        parts = " * ".join(f"G({a})^{e}" for a, e in self.factors)
-        return f"GammaExpr({self.scalar} * {parts or '1'})"
-
-
 class GammaValue(Record):
-    """Base class for the result of reducing a GammaExpr: an immutable
-    value that equals only the same variant with equal fields."""
+    """Base class for the result of `reduce`: an immutable value that
+    equals only the same variant with equal fields."""
 
     __slots__ = ()
 
@@ -98,17 +66,21 @@ class Pole(GammaValue):
 
 
 class Irreducible(GammaValue):
-    """Whatever could not be evaluated exactly, kept as a GammaExpr.
+    """Whatever could not be evaluated exactly: the rational scalar q times
+    prod Gamma(p/d)^e over the surviving integer triples `factors`
+    (p, d, e), sorted by p/d.
 
-    pi^(s/2) contributions are folded back in as Gamma(1/2)^s factors so
+    pi^(s/2) is folded back in as the triple (1, 2, s), Gamma(1/2)^s, so
     the residual stays a pure Gamma product.
     """
 
-    __slots__ = _fields = ("residual",)
-    residual: GammaExpr
+    __slots__ = _fields = ("q", "factors")
+    q: Fraction
+    factors: tuple[tuple[int, int, int], ...]
 
-    def __init__(self, residual: GammaExpr) -> None:
-        object.__setattr__(self, "residual", residual)
+    def __init__(self, q: Fraction, factors: tuple[tuple[int, int, int], ...]) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "factors", factors)
 
 
 def _half_pair(p: int) -> tuple[int, int]:
@@ -127,9 +99,13 @@ def _times(num: int, den: int, x: int, y: int, e: int) -> tuple[int, int]:
     return num * x**e, den * y**e
 
 
-def reduce_triples(num: int, den: int, triples) -> GammaValue:
+def reduce(num: int, den: int, triples) -> GammaValue:
     """Reduce (num/den) * prod Gamma(p/q)^e over integer triples (p, q, e),
     p/q in lowest terms and q > 0, to a GammaValue.
+
+    Every input must be an int: a float or a Fraction, even an integral
+    one, raises TypeError.  A zero num or den, a q <= 0 or a gcd(p, q) != 1
+    raises ValueError.
 
     Repeated arguments merge first (a net exponent 0 drops the factor); the
     rest are grouped by (p mod q, q).  Integer arguments go one by one: a
@@ -146,8 +122,16 @@ def reduce_triples(num: int, den: int, triples) -> GammaValue:
     are never merged: a pole in numerator and denominator at once is a
     0 * inf that we refuse to resolve, hence Irreducible.
     """
+    if not (isinstance(num, int) and isinstance(den, int)):
+        raise TypeError(f"the scalar must be an integer pair, got {num!r}, {den!r}")
+    if not (num and den):
+        raise ValueError(f"the scalar and its denominator must be nonzero, got {num}/{den}")
     merged: dict[tuple[int, int], int] = {}
     for p, q, e in triples:
+        if not (isinstance(p, int) and isinstance(q, int) and isinstance(e, int)):
+            raise TypeError(f"a Gamma factor must be an integer triple (p, q, e), got {(p, q, e)!r}")
+        if q <= 0 or math.gcd(p, q) != 1:
+            raise ValueError(f"a Gamma argument p/q must have q > 0 and be in lowest terms, got {p}/{q}")
         merged[p, q] = merged.get((p, q), 0) + e
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (p, q), e in merged.items():
@@ -194,14 +178,7 @@ def reduce_triples(num: int, den: int, triples) -> GammaValue:
         return Finite(Fraction(num, den), pi_halves)
     if pi_halves:
         leftover.append((1, 2, pi_halves))
-    return Irreducible(GammaExpr([(Fraction(p, q), e) for p, q, e in leftover], Fraction(num, den)))
-
-
-def reduce(expr: GammaExpr) -> GammaValue:
-    """Reduce a GammaExpr: `reduce_triples` over its scalar and factors."""
-    s = expr.scalar
-    triples = [(a.numerator, a.denominator, e) for a, e in expr.factors]
-    return reduce_triples(s.numerator, s.denominator, triples)
+    return Irreducible(Fraction(num, den), tuple(sorted(leftover, key=lambda t: Fraction(t[0], t[1]))))
 
 
 def gauss_second_rhs(a: Fraction | int, b: Fraction | int) -> GammaValue:
@@ -221,4 +198,4 @@ def gauss_second_rhs(a: Fraction | int, b: Fraction | int) -> GammaValue:
     for x, y, e in ((p * s + r * q + q * s, 2 * q * s, 1), (p + q, 2 * q, -1), (r + s, 2 * s, -1)):
         g = math.gcd(x, y)
         triples.append((x // g, y // g, e))
-    return reduce_triples(1, 1, triples)
+    return reduce(1, 1, triples)

@@ -48,7 +48,7 @@ def moment(p: Fraction | int, n: int) -> gammaprod.GammaValue:
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     triples = [(a + d, d, 2), (a + (1 - n) * d, d, -1), (a + (n + 2) * d, d, -1)]
-    return gammaprod.reduce_triples(1, 1, triples)
+    return gammaprod.reduce(1, 1, triples)
 
 
 def moment_by_expansion(p: Fraction | int, n: int) -> Fraction:

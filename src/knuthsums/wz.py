@@ -87,21 +87,6 @@ class WZPair:
     rows: Callable[[int, Fraction], Rows]
 
 
-def naive_companion(F: Pointwise, R: Pointwise) -> Pointwise:
-    """G = R * F taken literally: zero wherever F is zero, and
-    CertificateDenominatorZero when F is nonzero where R blows up.  Every
-    registered pair's companion is this rule away from the two boundary
-    points where R's pole cancels against F's zero."""
-
-    def g(n: int, k: int, ell: Fraction) -> Fraction:
-        fv = F(n, k, ell)
-        if fv == 0:
-            return Fraction(0)
-        return R(n, k, ell) * fv
-
-    return g
-
-
 @lru_cache(maxsize=4)
 def _rows(terms: TermRow, continued: Continued, norm: Kernel, offset: int, n: int, a: int, b: int) -> Rows:
     """The row bundle of the pair `_pair` builds from this spec, at n and
@@ -160,10 +145,10 @@ def _pair(
     control.  The kernels are integer: `terms` gives a row of integers over
     one denominator, `continued` and `norm` a (numerator, denominator)
     pair whose denominator, of either sign, is nonzero where the pair is
-    defined, but for a pole of the continued term.  G is R * F
-    (`naive_companion(F, R)`) except at k = 2n+1, 2n+2, where R has its
-    pole and F its zero; there G is the limit, the row entry continued
-    through its Gamma ratio:
+    defined, but for a pole of the continued term.  G is the product R * F,
+    zero wherever F is, except at k = 2n+1, 2n+2, where R has its pole and
+    F its zero; there G is the limit, the row entry continued through its
+    Gamma ratio:
 
         G(n,k) = -k(k+offset+2l) continued(2n, k, a, b) norm(n, a, b)
 
@@ -292,7 +277,3 @@ def row_sum(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
     row = pair.rows(n, ell)
     return Fraction(sum(row.f), row.f_den)
 
-
-def wz_sum_constant(pair: WZPair, n_max: int, ell: Fraction | int) -> list[Fraction]:
-    """Row sums sum_k F(n, k) for n = 0..n_max; all 1 for a verified pair."""
-    return [row_sum(pair, n, ell) for n in range(n_max + 1)]

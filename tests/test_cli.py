@@ -1,5 +1,6 @@
 """CLI behavior: sweeps, exit codes, report formats, and round-tripping."""
 
+import ast
 import collections
 import dataclasses
 import gc
@@ -624,11 +625,18 @@ def test_module_entry_point():
 
 
 def _console_script() -> str:
-    """The `knuthsums` entry of `[project.scripts]` in pyproject.toml."""
-    tomllib = pytest.importorskip("tomllib")
+    """The `knuthsums` entry of `[project.scripts]` in pyproject.toml, read
+    line by line: `tomllib` is not in Python 3.10's standard library."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
-        return tomllib.load(f)["project"]["scripts"]["knuthsums"]
+    table = None
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as f:
+        for line in map(str.strip, f):
+            key, _, value = line.partition("=")
+            if line.startswith("["):
+                table = line
+            elif table == "[project.scripts]" and key.strip() == "knuthsums":
+                return ast.literal_eval(value.strip())
+    raise AssertionError("pyproject.toml declares no `knuthsums` script")
 
 
 def test_console_script_is_the_process_entry():

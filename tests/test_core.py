@@ -391,8 +391,6 @@ FLOAT_CALLS = {
     "prop2_as_2f1": lambda: hyper.prop2_as_2f1(2, 0.5),
     "gauss_second_rhs a": lambda: gammaprod.gauss_second_rhs(0.1, 1),
     "gauss_second_rhs b": lambda: gammaprod.gauss_second_rhs(-2, 0.5),
-    "GammaExpr scalar": lambda: gammaprod.GammaExpr([(1, 1)], scalar=0.5),
-    "GammaExpr argument": lambda: gammaprod.GammaExpr([(0.5, 1)]),
     "moment": lambda: legendre.moment(0.1, 2),
     "moment_by_expansion": lambda: legendre.moment_by_expansion(0.1, 2),
 }

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knuthsums import abel, catalog, gammaprod, legendre
+from knuthsums import abel, catalog, legendre
 from knuthsums.core import pochhammer
 from knuthsums.gammaprod import (
     Finite,
-    GammaExpr,
     Irreducible,
     Pole,
     Zero,
@@ -30,17 +29,23 @@ def is_nonpositive_integer(x):
     return x.denominator == 1 and x.numerator <= 0
 
 
+def _reduce_arguments(factors):
+    """`reduce` of prod Gamma(x)^e over (Fraction x, e) pairs, each x split
+    into its numerator and denominator."""
+    return reduce(1, 1, [(x.numerator, x.denominator, e) for x, e in factors])
+
+
 def _gauss_second_rhs_by_fractions(a, b):
     a = F(a)
     b = F(b)
-    return reduce(GammaExpr([(HALF, 1), ((a + b + 1) / 2, 1), ((a + 1) / 2, -1), ((b + 1) / 2, -1)]))
+    return _reduce_arguments([(HALF, 1), ((a + b + 1) / 2, 1), ((a + 1) / 2, -1), ((b + 1) / 2, -1)])
 
 
 def _moment_by_fractions(p, n):
     p = F(p)
     if p <= -1:
         raise ValueError(f"moment requires p > -1, got {p}")
-    return reduce(GammaExpr([(p + 1, 2), (p - n + 1, -1), (p + n + 2, -1)]))
+    return _reduce_arguments([(p + 1, 2), (p - n + 1, -1), (p + n + 2, -1)])
 
 
 def _kummer_even_by_fractions(n, a):
@@ -205,10 +210,11 @@ def test_prop2_rhs_raises_exactly_where_its_binomial_vanishes():
     assert raising == list(range(-20, 0))
 
 
-# The closed forms hand `gammaprod.reduce_triples` integer triples; the
-# route they replaced built one Fraction per Gamma argument and reduced a
-# GammaExpr (the `_by_fractions` oracles above).  Each example list below
-# is annotated with the GammaValue kind it reaches.
+# The closed forms build the integer triples they hand `gammaprod.reduce`
+# from the integers of their parameters, each brought to lowest terms by a
+# gcd; the route they replaced built one Fraction per Gamma argument, which
+# `Fraction` keeps in lowest terms (the `_by_fractions` oracles above).
+# Each example list below is annotated with the GammaValue kind it reaches.
 TRIPLE_DENOMINATORS = [1, 2, 3, 4, 5, 7, 9]
 GAUSS_EXAMPLES = [
     (-2, 2),  # Finite, rational
@@ -246,16 +252,16 @@ def _moment_argument(d):
     _rational(st.integers(-40, 40), st.sampled_from(TRIPLE_DENOMINATORS)),
 )
 @_examples(GAUSS_EXAMPLES)
-def test_gauss_second_rhs_triples_match_gamma_expr_route(a, b):
+def test_gauss_second_rhs_triples_match_fraction_route(a, b):
     # GammaValue equality covers the variant, the value and an
-    # Irreducible's residual factors and scalar
+    # Irreducible's scalar and factors
     assert gauss_second_rhs(a, b) == _gauss_second_rhs_by_fractions(a, b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(TRIPLE_DENOMINATORS).flatmap(_moment_argument), st.integers(0, 24))
 @_examples(MOMENT_EXAMPLES)
-def test_moment_triples_match_gamma_expr_route(p, n):
+def test_moment_triples_match_fraction_route(p, n):
     assert legendre.moment(p, n) == _moment_by_fractions(p, n)
 
 
@@ -263,24 +269,3 @@ def test_triple_examples_reach_every_gamma_value_kind():
     kinds = {type(gauss_second_rhs(a, b)) for a, b in GAUSS_EXAMPLES}
     kinds |= {type(legendre.moment(p, n)) for p, n in MOMENT_EXAMPLES}
     assert kinds == {Finite, Zero, Pole, Irreducible}
-
-
-def test_closed_forms_build_no_gamma_expr_unless_irreducible(monkeypatch):
-    grid = [-4, -3, -2, -1, 0, 1, 2, HALF, F(-7, 2), F(5, 2), F(1, 3), F(-4, 9)]
-    gauss = {(a, b): gauss_second_rhs(a, b) for a in grid for b in grid}
-    moments = {(p, n): legendre.moment(p, n) for p in grid if p > -1 for n in range(9)}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a GammaExpr was built")
-
-    monkeypatch.setattr(gammaprod, "GammaExpr", refuse)
-    kinds = set()
-    for f, table in ((gauss_second_rhs, gauss), (legendre.moment, moments)):
-        for args, value in table.items():
-            if isinstance(value, Irreducible):
-                with pytest.raises(AssertionError):
-                    f(*args)
-            else:
-                assert f(*args) == value
-                kinds.add(type(value))
-    assert kinds == {Finite, Zero, Pole}

@@ -1,7 +1,12 @@
 """The package namespace and its module boundaries: submodules load only
-when they are used, and no module reaches into core's private names."""
+when they are used, no module reaches into core's private names, and
+every function is reached by a CLI run or tabled with the reason it is
+not."""
 
 import ast
+import contextlib
+import importlib
+import io
 import json
 import os
 import subprocess
@@ -168,37 +173,114 @@ def _names_read(tree: ast.AST) -> set[str]:
     return names
 
 
-# functions that only tests reach today, each with the ROADMAP item that
-# gives it a CLI path
-NO_CALLER_YET = {
+def _small(argv, cap=3):
+    """argv with every --n-max and --*-n-max value capped at cap."""
+    argv = list(argv)
+    for i, flag in enumerate(argv[:-1]):
+        if flag.endswith("n-max"):
+            argv[i + 1] = str(min(int(argv[i + 1]), cap))
+    return argv
+
+
+def _code(member):
+    """The code object of a function, of the one an lru_cache wraps, or None."""
+    return getattr(getattr(member, "__wrapped__", member), "__code__", None)
+
+
+def _definitions():
+    """{code object or class: "module.qualname"} for every top-level
+    function and class of the package and every function a class body
+    defines, but for dunders other than __init__, which Python's protocols
+    (equality, hashing, printing, pickling, module attributes) call."""
+    import knuthsums
+
+    package = Path(knuthsums.__file__).parent
+    found = {}
+    for path in package.glob("*.py"):
+        if path.stem == "__main__":
+            continue  # importing it runs the process entry
+        module = importlib.import_module("knuthsums" if path.stem == "__init__" else f"knuthsums.{path.stem}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # imported from another module, or not a definition
+            for member in [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]:
+                code = _code(member)
+                if isinstance(member, type):
+                    target, name = member, member.__name__
+                elif code is not None and Path(code.co_filename).parent == package:
+                    target, name = code, code.co_name  # not a method dataclasses or NamedTuple made
+                else:
+                    continue
+                if name == "__init__" or not (name.startswith("__") and name.endswith("__")):
+                    found[target] = f"{path.stem}.{getattr(member, '__wrapped__', member).__qualname__}"
+    return found
+
+
+# What the CLI and the closed-forms driver never reach, each with the
+# ROADMAP item that gives it a path or removes it, or why no run here can
+# reach it
+UNREACHED = {
+    "abel.SequencePair": "item 3",
     "abel.first_pair": "item 3",
     "abel.transform_residual": "item 3",
+    "core.Record._values": "item 15: Record equality and hashing, which only tests use",
+    "core.falling": "item 7: tracing.CORE_FUNCTIONS",
+    "core.gbinom": "item 7: tracing.CORE_FUNCTIONS",
+    "core.harmonic": "item 7: tracing.CORE_FUNCTIONS",
+    "core.odd_harmonic": "item 7: tracing.CORE_FUNCTIONS",
+    "core.pochhammer": "item 7: tracing.CORE_FUNCTIONS",
+    "gammaprod.Irreducible.__init__": "item 4: no closed form on a registered grid is irreducible",
     "hyper.prop2_as_2f1": "item 4",
-    "wz.naive_companion": "item 2 (a test oracle)",
-    "wz.wz_sum_constant": "item 2 (a test oracle)",
+    "sweep.VerificationReport.to_record": "item 5: the library's record, which cli._json_lines writes itself",
+    "cli.run": "the process entry, which tests/test_cli.py runs in child processes",
+    "sweep._pool_map": "--jobs 2, which tests/test_cli.py runs; worker processes are out of this trace",
 }
 
 
-def test_every_core_function_has_a_caller_or_a_trace_hook():
-    # a top-level function or class of any module that only tests reach is
-    # code no identity, check or CLI path needs; the benchmark hooks some
-    # by name, as an identifier or a string such as "reduce"
-    trees = _module_trees()
-    hooked = set()
-    for path in (Path(SRC).parent / "perfbench").glob("*.py"):
-        tree = ast.parse(path.read_text("utf-8"))
-        hooked |= _names_read(tree)
-        hooked |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
-                   and isinstance(node.value, str) and node.value.isidentifier()}
-    statements = [(module, node) for module, tree in trees.items() for node in tree.body]
-    read = [_names_read(node) for _, node in statements]
-    unread = []
-    for i, (module, node) in enumerate(statements):
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
-            continue  # a dunder such as a module's __getattr__ is called by Python itself
-        if node.name not in hooked and not any(node.name in names for j, names in enumerate(read) if j != i):
-            unread.append(f"{module}.{node.name}")
-    assert sorted(unread) == sorted(NO_CALLER_YET)
+def test_every_package_function_is_reached_or_tabled(monkeypatch):
+    # the golden CLI runs at small sizes, serial, the CLI paths the goldens
+    # skip (list, --fail-fast) and the closed-forms driver on tiny draws,
+    # traced in process: what none of them calls is code that no identity,
+    # check or CLI path needs, unless UNREACHED says why
+    from test_golden import CLOSED_FORMS, GOLDEN, PERFBENCH, TEXT_GOLDEN
+
+    from knuthsums import cli
+
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import closed_forms
+
+    definitions = _definitions()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("knuthsums"):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()  # a warm cache would not call its function
+    runs = [_small(argv) for argv, _, _ in GOLDEN + TEXT_GOLDEN]
+    runs = [argv + ["--jobs", "1"] if argv[0] == "verify" else argv for argv in runs]
+    runs += [["list"], ["list", "--format", "json"], ["verify", "--n-max", "1", "--fail-fast"]]
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    out = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(out):
+            codes = [cli.main(argv) for argv in runs]
+        codes.append(closed_forms.main(_small(CLOSED_FORMS[0]), out))
+    finally:
+        sys.setprofile(None)
+    assert set(codes) <= {0, 1}, codes
+    # a class is reached when code that ran reads its name or calls one of
+    # its functions, and so are its bases
+    names = set().union(*(code.co_names for code in reached))
+    classes = [target for target in definitions if isinstance(target, type)]
+    live = {cls for cls in classes if cls.__name__ in names or reached.intersection(map(_code, vars(cls).values()))}
+    reached |= {base for cls in live for base in cls.__mro__}
+    unreached = [name for target, name in definitions.items() if target not in reached]
+    assert sorted(unreached) == sorted(UNREACHED)
 
 
 def test_no_module_reads_a_private_name_of_core():
