@@ -79,34 +79,34 @@ def abel1_valid(n: int, ell: Fraction | int) -> bool:
     return not (b <= 2 and -n <= (2 * a + b) // b <= 0)
 
 
-def abel1_lhs(n: int, ell: Fraction | int) -> Fraction:
+def abel1_lhs(n: int, ell: Fraction | int) -> tuple[int, int]:
     """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k) k(n-k)/(k+2l+1).
 
     With l = a/b, these are prop1's terms (`core.prop1_row`), each times
     the weight k(n-k) b / (kb+2a+b).  The k-th term carries the factor
     M_k = (2a+2kb)(2a+2kb-b)...(2a+(k+1)b) of choose(2k+2l, k), which
     ends in kb+2a+b, so each weighted term is an integer over prop1's
-    denominator: one integer sum and one Fraction.
+    denominator, and the sum is one integer pair.
     """
     ell = as_rational(ell)
     a, b = ell.numerator, ell.denominator
     terms, den = prop1_row(n, a, b)
     # k(n-k) vanishes at k = 0 and k = n
     total = sum(terms[k] // (k * b + 2 * a + b) * k * (n - k) for k in range(1, n))
-    return Fraction(total * b, den)
+    return total * b, den
 
 
-def abel1_rhs(n: int, ell: Fraction | int) -> Fraction:
+def abel1_rhs(n: int, ell: Fraction | int) -> tuple[int, int]:
     """-2^(-n) n choose(n+l, n/2) for even n, else 0: -n times the integer
     pair of `core.prop1_closed`."""
     ell = as_rational(ell)
     if n % 2:
-        return Fraction(0)
+        return 0, 1
     num, den = prop1_closed(n, ell.numerator, ell.denominator)
-    return Fraction(-n * num, den)
+    return -n * num, den
 
 
-def abel2_lhs(n: int) -> Fraction:
+def abel2_lhs(n: int) -> tuple[int, int]:
     """sum_{k=0}^n (-1/2)^k C(2k,k) C(n,k) (2k+1)(k^2+3k+3)(n-k) / ((k+1)^2 (k+2)(k+3))."""
 
     def term(k: int) -> tuple[int, int]:
@@ -117,8 +117,10 @@ def abel2_lhs(n: int) -> Fraction:
     return exact_sum(term(k) for k in range(n + 1))
 
 
-def abel2_rhs(n: int) -> Fraction:
-    """1/2 - C(n, n/2)(n+1) / (2^n (n+2)) for even n, else 1/2."""
+def abel2_rhs(n: int) -> tuple[int, int]:
+    """1/2 - C(n, n/2)(n+1) / (2^n (n+2)) for even n, else 1/2: over
+    2^n (n+2), which is even, one integer pair."""
     if n % 2:
-        return Fraction(1, 2)
-    return Fraction(1, 2) - Fraction(math.comb(n, n // 2) * (n + 1), 2**n * (n + 2))
+        return 1, 2
+    den = 2**n * (n + 2)
+    return den // 2 - math.comb(n, n // 2) * (n + 1), den

@@ -3,9 +3,12 @@ package verifies, as (brute-force LHS, closed-form RHS, validity) triples.
 
 Each identity is registered under a stable kebab-case key.  The LHS
 evaluator is always the plain finite sum over exact rationals -- the
-universal oracle -- and the RHS is the closed form; verification is exact
-equality, no tolerances anywhere.  The case model and the sweep live in
-`sweep`, which reads this registry when a sweep is started.
+universal oracle -- and the RHS is the closed form.  Each side returns its
+value as an unreduced integer pair (numerator, denominator), and its
+parameters are named as the identity's `param_names`, in that order;
+verification is exact equality, no tolerances anywhere.  The case model
+and the sweep live in `sweep`, which reads this registry when a sweep is
+started.
 """
 
 from __future__ import annotations
@@ -27,17 +30,17 @@ from .sweep import DEFAULT_ELL_GRID, Identity, VerificationReport, iter_cases, r
 # ---------------------------------------------------------------------------
 
 
-def knuth_lhs(n: int) -> Fraction:
+def knuth_lhs(n: int) -> tuple[int, int]:
     """sum_{k=0}^n (-1/2)^k C(n,k) C(2k,k)."""
     s = sum((-1) ** k * math.comb(n, k) * math.comb(2 * k, k) << (n - k) for k in range(n + 1))
-    return Fraction(s, 2**n)
+    return s, 2**n
 
 
-def knuth_rhs(n: int) -> Fraction:
+def knuth_rhs(n: int) -> tuple[int, int]:
     """2^(-n) C(n, n/2) for even n, else 0."""
     if n % 2:
-        return Fraction(0)
-    return Fraction(math.comb(n, n // 2), 2**n)
+        return 0, 1
+    return math.comb(n, n // 2), 2**n
 
 
 def prop1_valid(n: int, ell: Fraction | int) -> bool:
@@ -47,20 +50,20 @@ def prop1_valid(n: int, ell: Fraction | int) -> bool:
     return not (ell.denominator == 1 and -n <= ell.numerator <= -1)
 
 
-def prop1_lhs(n: int, ell: Fraction | int) -> Fraction:
+def prop1_lhs(n: int, ell: Fraction | int) -> tuple[int, int]:
     """sum_{k=0}^n (-1/2)^k choose(n+l, k+l) choose(2k+2l, k), one integer
     over one denominator (`core.prop1_row`)."""
     ell = as_rational(ell)
     terms, den = prop1_row(n, ell.numerator, ell.denominator)
-    return Fraction(sum(terms), den)
+    return sum(terms), den
 
 
-def prop1_rhs(n: int, ell: Fraction | int) -> Fraction:
+def prop1_rhs(n: int, ell: Fraction | int) -> tuple[int, int]:
     """2^(-n) choose(n+l, n/2) for even n, else 0: `core.prop1_closed`."""
     ell = as_rational(ell)
     if n % 2:
-        return Fraction(0)
-    return Fraction(*prop1_closed(n, ell.numerator, ell.denominator))
+        return 0, 1
+    return prop1_closed(n, ell.numerator, ell.denominator)
 
 
 # choose(k+l, k) for k <= n vanishes exactly at the integer shifts
@@ -70,21 +73,24 @@ def prop1_rhs(n: int, ell: Fraction | int) -> Fraction:
 prop2_valid = prop1_valid
 
 
-def prop2_lhs(n: int, ell: Fraction | int) -> Fraction:
+def prop2_lhs(n: int, ell: Fraction | int) -> tuple[int, int]:
     """sum_{k=0}^n (-1/2)^k C(n,k) choose(2k+2l, k) / choose(k+l, k), one
     integer over one denominator (`core.prop2_row`)."""
     ell = as_rational(ell)
     terms, den = prop2_row(n, ell.numerator, ell.denominator)
-    return Fraction(sum(terms), den)
+    return sum(terms), den
 
 
-def prop2_rhs(n: int, ell: Fraction | int) -> Fraction:
+def prop2_rhs(n: int, ell: Fraction | int) -> tuple[int, int]:
     """2^(-n) C(n, n/2) / choose(n/2+l, n/2) for even n, else 0:
     `core.prop2_closed`; ZeroDivisionError where choose(n/2+l, n/2) vanishes."""
     ell = as_rational(ell)
     if n % 2:
-        return Fraction(0)
-    return Fraction(*prop2_closed(n, ell.numerator, ell.denominator))
+        return 0, 1
+    num, den = prop2_closed(n, ell.numerator, ell.denominator)
+    if not den:
+        raise ZeroDivisionError(f"choose(n/2+l, n/2) vanishes at n={n}, l={ell}")
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +98,7 @@ def prop2_rhs(n: int, ell: Fraction | int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def hkmix_lhs(n: int) -> Fraction:
+def hkmix_lhs(n: int) -> tuple[int, int]:
     """sum_{k=0}^{2n} (-1/2)^k C(2k,k) C(2n,k) (3 H_k - 2 H_{2k}), one
     integer over 2^(2n) L, H_j = h[j] / L read from `core.harmonic_row(4n)`."""
     h, den = harmonic_row(4 * n)
@@ -100,47 +106,47 @@ def hkmix_lhs(n: int) -> Fraction:
         (-1) ** k * math.comb(2 * k, k) * math.comb(2 * n, k) * (3 * h[k] - 2 * h[2 * k]) << (2 * n - k)
         for k in range(2 * n + 1)
     )
-    return Fraction(s, den << 2 * n)
+    return s, den << 2 * n
 
 
-def hkmix_rhs(n: int) -> Fraction:
+def hkmix_rhs(n: int) -> tuple[int, int]:
     """4^(-n) C(2n,n) H_n."""
     h, den = harmonic_row(n)
-    return Fraction(math.comb(2 * n, n) * h[n], den << 2 * n)
+    return math.comb(2 * n, n) * h[n], den << 2 * n
 
 
-def _over_next_sum(m: int, top: int) -> Fraction:
+def _over_next_sum(m: int, top: int) -> tuple[int, int]:
     """sum_{k=0}^{top} (-2)^k C(m,k) H_k / (k+1): with H_k = h[k] / L over
     L = lcm(1..top+1), which every k+1 divides, one integer over L^2."""
     h, den = harmonic_row(top + 1)
     s = sum((-2) ** k * math.comb(m, k) * h[k] * (den // (k + 1)) for k in range(top + 1))
-    return Fraction(s, den * den)
+    return s, den * den
 
 
-def oddh_corollary_lhs(m: int) -> Fraction:
+def oddh_corollary_lhs(m: int) -> tuple[int, int]:
     """sum_{k=0}^m (-2)^k C(m,k) H_k / (k+1)."""
     return _over_next_sum(m, m)
 
 
-def oddh_corollary_rhs(m: int) -> Fraction:
+def oddh_corollary_rhs(m: int) -> tuple[int, int]:
     """-(2/(m+1)) O_((m+1)/2) for odd m, else 0."""
     if m % 2 == 0:
-        return Fraction(0)
+        return 0, 1
     o, den = harmonic_row((m + 1) // 2, odd=True)
-    return Fraction(-2 * o[-1], (m + 1) * den)
+    return -2 * o[-1], (m + 1) * den
 
 
-def intermediate_lhs(n: int) -> Fraction:
+def intermediate_lhs(n: int) -> tuple[int, int]:
     """sum_{k=0}^{2n} (-2)^k C(2n+1,k) H_k / (k+1)."""
     return _over_next_sum(2 * n + 1, 2 * n)
 
 
-def intermediate_rhs(n: int) -> Fraction:
+def intermediate_rhs(n: int) -> tuple[int, int]:
     """(4^n - 1) H_{2n}/(n+1) + H_n/(2(n+1)) + (4^n - 1)/((n+1)(2n+1)),
     one integer over 2(n+1)(2n+1) L."""
     p = 4**n - 1
     h, den = harmonic_row(2 * n)
-    return Fraction((2 * p * h[2 * n] + h[n]) * (2 * n + 1) + 2 * p * den, 2 * (n + 1) * (2 * n + 1) * den)
+    return (2 * p * h[2 * n] + h[n]) * (2 * n + 1) + 2 * p * den, 2 * (n + 1) * (2 * n + 1) * den
 
 
 @lru_cache(maxsize=2)
@@ -157,7 +163,7 @@ def _gf_row(n: int, q: int) -> tuple[tuple[int, ...], int]:
     return coeffs, lcm * q**m
 
 
-def gfpoly_lhs(n: int, x: Fraction | int) -> Fraction:
+def gfpoly_lhs(n: int, x: Fraction | int) -> tuple[int, int]:
     """sum_{k=0}^{2n} (-1/2)^k C(2n,k) 4^k x^k / (k+1)  (equals (-2x)^k terms).
 
     With x = p/q written as p'/q' over q' = lcm(q, 2n+1), every term is an
@@ -171,10 +177,10 @@ def gfpoly_lhs(n: int, x: Fraction | int) -> Fraction:
     total = coeffs[-1]
     for d in reversed(coeffs[:-1]):
         total = total * p + d
-    return Fraction(total, den)
+    return total, den
 
 
-def gfpoly_rhs(n: int, x: Fraction | int) -> Fraction:
+def gfpoly_rhs(n: int, x: Fraction | int) -> tuple[int, int]:
     """(1 - (1-2x)^(2n+1)) / (2(2n+1)x) for x != 0; the x -> 0 limit is 1.
 
     With x = p/q this is (q^(2n+1) - (q-2p)^(2n+1)) / (2(2n+1) p q^(2n)).
@@ -182,24 +188,24 @@ def gfpoly_rhs(n: int, x: Fraction | int) -> Fraction:
     x = as_rational(x)
     p, q = x.numerator, x.denominator
     if p == 0:
-        return Fraction(1)
+        return 1, 1
     m = 2 * n
     q_power = q**m
-    return Fraction(q_power * q - (q - 2 * p) ** (m + 1), 2 * (m + 1) * p * q_power)
+    return q_power * q - (q - 2 * p) ** (m + 1), 2 * (m + 1) * p * q_power
 
 
-def tauraso_lhs(n: int) -> Fraction:
+def tauraso_lhs(n: int) -> tuple[int, int]:
     """sum_{k=0}^{2n} (-1)^k C(2n,k) C(2n+k,k) C(2k,k) 4^(2n-k) H_k, with
     (-1)^k C(2n,k) C(2n+k,k) read as c_k of the Legendre row P_2n(2x-1)."""
     h, den = harmonic_row(2 * n)
     c = legendre.shifted_legendre(2 * n)
-    return Fraction(sum(c[k] * math.comb(2 * k, k) * h[k] << 2 * (2 * n - k) for k in range(2 * n + 1)), den)
+    return sum(c[k] * math.comb(2 * k, k) * h[k] << 2 * (2 * n - k) for k in range(2 * n + 1)), den
 
 
-def tauraso_rhs(n: int) -> Fraction:
+def tauraso_rhs(n: int) -> tuple[int, int]:
     """C(2n,n)^2 H_{2n}."""
     h, den = harmonic_row(2 * n)
-    return Fraction(math.comb(2 * n, n) ** 2 * h[2 * n], den)
+    return math.comb(2 * n, n) ** 2 * h[2 * n], den
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,8 @@ def _param_fragments(name: str, value: int | Fraction) -> tuple[str, str]:
 def _rows(reports: Iterable[VerificationReport]) -> Iterator[tuple]:
     """The row form of each report, from which every format is written:
     (identity, params as JSON members, params as compact text, lhs, rhs,
-    status, micros, reason), each side as `p/q` text or None.
+    status, micros, reason), each side as `p/q` text or None.  A passing
+    report holds one Fraction as both sides, which is formatted once.
 
     Parameter values are memoised by integer pair (no Fraction is hashed),
     and the memo is cleared when full: most x points occur once.
@@ -128,12 +129,9 @@ def _rows(reports: Iterable[VerificationReport]) -> Iterator[tuple]:
                 pair = fragments[key] = _param_fragments(name, value)
             members.append(pair[0])
             texts.append(pair[1])
-        yield (
-            identity, ", ".join(members), ";".join(texts),
-            None if lhs is None else format_rational(lhs),
-            None if rhs is None else format_rational(rhs),
-            status, micros, reason,
-        )
+        lhs_text = None if lhs is None else format_rational(lhs)
+        rhs_text = lhs_text if rhs is lhs else None if rhs is None else format_rational(rhs)
+        yield identity, ", ".join(members), ";".join(texts), lhs_text, rhs_text, status, micros, reason
 
 
 def _json_lines(rows: Iterable[tuple]) -> Iterator[str]:
@@ -216,14 +214,14 @@ def _wz_checks(pair: wz.WZPair) -> tuple[Identity, Identity]:
             "F(n+1,k) - F(n,k) = G(n,k+1) - G(n,k) for k = -1..2n+3",
             ("n", "ell"),
             lambda n, ell: wz.residual_grid(pair, n, ell),
-            lambda n, ell: Fraction(0),
+            lambda n, ell: (0, 1),
         ),
         Identity(
             f"wz-{pair.name}-row-sum",
             "sum_k F(n,k) = 1",
             ("n", "ell"),
             lambda n, ell: wz.row_sum(pair, n, ell),
-            lambda n, ell: Fraction(1),
+            lambda n, ell: (1, 1),
         ),
     )
 

@@ -1,24 +1,27 @@
 """Exact rational arithmetic and the combinatorial primitives used everywhere else.
 
-Every value that crosses a module boundary is an exact rational
-(`fractions.Fraction`); nothing is ever rounded.  This module supplies the
-building blocks: rising and falling factorials, generalized binomial
-coefficients with a rational upper argument, the integer kernels of the
-shifted family, and the harmonic and odd-harmonic rows.  Only this
-module knows the shifted family's row layout over l = a/b (the prefix
-products U_j of choose(x, j), the M_k of choose(2k+2l, k) and the prefix
-products Q_k of choose(-l-1, k), the last two in one bounded per-shift
-cache); every other module reads it through `prop1_row` / `prop2_row`,
-their terms continued past the support, `prop1_continued` /
-`prop2_continued`, and the even-index closed forms `prop1_closed` /
-`prop2_closed`.  All of it works in integers inside: a factorial of
-x = p/q is one integer product over a power of q, a shifted sum one
-integer numerator, H_0..H_m or O_0..O_m one row of prefix sums over the
-lcm of their denominators (`harmonic_row`, read by every harmonic sum),
-and the few other literal sums (abel-second, the Legendre moments) go
-through `exact_sum`, one integer numerator over the lcm of its
-denominators; each builds a single `Fraction` at the end.  `Record` is
-the immutable value type the closed-form modules build their results on.
+Every value that crosses a module boundary is an exact rational; nothing
+is ever rounded.  A library value is a `fractions.Fraction`, but an
+evaluator that `sweep.verify` checks returns an unreduced integer pair
+(numerator, denominator), which `verify` reduces once per case.  This
+module supplies the building blocks: rising and falling factorials,
+generalized binomial coefficients with a rational upper argument, the
+integer kernels of the shifted family, and the harmonic and odd-harmonic
+rows.  Only this module knows the shifted family's row layout over
+l = a/b (the prefix products U_j of choose(x, j), the M_k of
+choose(2k+2l, k) and the prefix products Q_k of choose(-l-1, k), the last
+two in one bounded per-shift cache); every other module reads it through
+`prop1_row` / `prop2_row`, their terms continued past the support,
+`prop1_continued` / `prop2_continued`, and the even-index closed forms
+`prop1_closed` / `prop2_closed`.  All of it works in integers inside: a
+factorial of x = p/q is one integer product over a power of q, a shifted
+sum one integer numerator, H_0..H_m or O_0..O_m one row of prefix sums
+over the lcm of their denominators (`harmonic_row`, read by every
+harmonic sum), and the few other literal sums (abel-second, the Legendre
+moments) go through `exact_sum`, one integer numerator over the lcm of
+its denominators.  Each ends in one integer pair, and a `Fraction` is
+built only where a caller asks for one.  `Record` is the immutable value
+type the closed-form modules build their results on.
 """
 
 from __future__ import annotations
@@ -135,17 +138,17 @@ class Record:
         return type(self), self._values()
 
 
-def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+def exact_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """The sum of the rationals num/den given as integer pairs (num, den),
-    as one integer numerator over the lcm L of the denominators:
-    sum num * (L // den) over L, reduced once.  An empty sum is 0.
+    as the unreduced pair (sum num * (L // den), L), L the lcm of the
+    denominators.  An empty sum is (0, 1).
 
-    Denominators must be nonzero; a negative one keeps its sign through
-    L // den.
+    Denominators must be nonzero (a zero one raises ZeroDivisionError); a
+    negative one keeps its sign through L // den.
     """
     terms = list(terms)
     lcm = math.lcm(*(den for _, den in terms))
-    return Fraction(sum(num * (lcm // den) for num, den in terms), lcm)
+    return sum(num * (lcm // den) for num, den in terms), lcm
 
 
 def pochhammer(x: Fraction | int, k: int) -> Fraction:

@@ -56,37 +56,37 @@ def moment_by_expansion(p: Fraction | int, n: int) -> Fraction:
     term by term, sum_j c_j / (p + j + 1).
 
     With p = a/d the j-th term is c_j d / (a + (j+1) d), summed
-    by `core.exact_sum`.
+    by `core.exact_sum` into one integer pair.
     """
     p = as_rational(p)
     a, d = p.numerator, p.denominator
     if a <= -d:
         raise ValueError(f"moment requires p > -1, got {p}")
-    return exact_sum((c * d, a + (j + 1) * d) for j, c in enumerate(shifted_legendre(n)))
+    return Fraction(*exact_sum((c * d, a + (j + 1) * d) for j, c in enumerate(shifted_legendre(n))))
 
 
-def log_moment_sqrt_lhs(n: int) -> Fraction:
+def log_moment_sqrt_lhs(n: int) -> tuple[int, int]:
     """int_0^1 ln(x)/sqrt(x) P_n(2x-1) dx, exactly: each monomial x^j
     contributes c_j * (-4/(2j+1)^2)."""
     return exact_sum((-4 * c, (2 * j + 1) ** 2) for j, c in enumerate(shifted_legendre(n)))
 
 
-def log_moment_sqrt_rhs(n: int) -> Fraction:
+def log_moment_sqrt_rhs(n: int) -> tuple[int, int]:
     """Closed form 4(-1)^n H_n/(2n+1) - 8(-1)^n H_{2n}/(2n+1) - 4(-1)^n/(2n+1)^2,
     one integer over (2n+1)^2 L with H_j = h[j] / L from `core.harmonic_row`."""
     h, den = harmonic_row(2 * n)
-    return Fraction((-1) ** n * 4 * ((h[n] - 2 * h[2 * n]) * (2 * n + 1) - den), (2 * n + 1) ** 2 * den)
+    return (-1) ** n * 4 * ((h[n] - 2 * h[2 * n]) * (2 * n + 1) - den), (2 * n + 1) ** 2 * den
 
 
-def odd_knuth_lhs(n: int) -> Fraction:
+def odd_knuth_lhs(n: int) -> tuple[int, int]:
     """sum_{k=0}^n (-1/4)^k C(n,k) C(2k,k) O_k, one integer over 4^n L with
     O_k = o[k] / L read from `core.harmonic_row(n, odd=True)`."""
     o, den = harmonic_row(n, odd=True)
     s = sum((-1) ** k * math.comb(n, k) * math.comb(2 * k, k) * o[k] << 2 * (n - k) for k in range(n + 1))
-    return Fraction(s, den << 2 * n)
+    return s, den << 2 * n
 
 
-def odd_knuth_rhs(n: int) -> Fraction:
+def odd_knuth_rhs(n: int) -> tuple[int, int]:
     """Closed form -(1/4)^n C(2n,n) O_n."""
     o, den = harmonic_row(n, odd=True)
-    return Fraction(-math.comb(2 * n, n) * o[n], den << 2 * n)
+    return -math.comb(2 * n, n) * o[n], den << 2 * n

@@ -43,14 +43,19 @@ class Identity:
     0..n_max; a second parameter "ell" crosses it with the rational shift
     grid, and a second parameter "x" with a per-n set of 2n+1 rational
     sample points, enough to pin down a degree-2n polynomial identity.
+
+    `verify` calls lhs, rhs and validity with the values of a case
+    positionally, in param_names order.  Each side returns its value as an
+    unreduced integer pair (numerator, denominator), the denominator of
+    either sign; a zero denominator is an evaluator error.
     """
 
     name: str
     summary: str
     param_names: tuple[str, ...]
-    lhs: Callable[..., Fraction]
-    rhs: Callable[..., Fraction]
-    validity: Callable[..., bool] = field(default=lambda **params: True)
+    lhs: Callable[..., tuple[int, int]]
+    rhs: Callable[..., tuple[int, int]]
+    validity: Callable[..., bool] = field(default=lambda *values: True)
 
 
 class VerificationReport(NamedTuple):
@@ -104,17 +109,26 @@ def iter_cases(
 def verify(ident: Identity, params: dict) -> VerificationReport:
     """Evaluate both sides on one parameter assignment and compare exactly.
 
-    Validity-excluded cases are reported as skipped, never as passes, and
-    so is a WZ certificate whose denominator vanishes at the case; other
-    evaluator errors become failures carrying the error text.
+    The sides' integer pairs are compared by cross-multiplication, and only
+    the LHS is reduced: a passing case reports that one Fraction as both
+    sides, and a failing one reduces its RHS on its own.  Validity-excluded
+    cases are reported as skipped, never as passes, and so is a WZ
+    certificate whose denominator vanishes at the case; other evaluator
+    errors, a zero denominator on either side among them, become failures
+    carrying the error text.
     """
-    flat = tuple((name, params[name]) for name in ident.param_names)
-    if not ident.validity(**params):
+    values = tuple(params[name] for name in ident.param_names)
+    flat = tuple(zip(ident.param_names, values))
+    if not ident.validity(*values):
         return VerificationReport(ident.name, flat, None, None, "skip", "validity excluded")
     start = time.perf_counter_ns()
     try:
-        lhs = ident.lhs(**params)
-        rhs = ident.rhs(**params)
+        num, den = ident.lhs(*values)
+        rhs_num, rhs_den = ident.rhs(*values)
+        lhs = Fraction(num, den)
+        # with both denominators nonzero, equal cross products mean equal
+        # values; a zero RHS denominator makes Fraction raise
+        rhs = lhs if rhs_den and num * rhs_den == rhs_num * den else Fraction(rhs_num, rhs_den)
     except Exception as exc:  # captured, not propagated: the report is the API
         micros = (time.perf_counter_ns() - start) // 1000
         if isinstance(exc, CertificateDenominatorZero):
@@ -123,9 +137,9 @@ def verify(ident: Identity, params: dict) -> VerificationReport:
             status, reason = "fail", f"evaluator error: {exc}"
         return VerificationReport(ident.name, flat, None, None, status, reason, micros)
     micros = (time.perf_counter_ns() - start) // 1000
-    status = "pass" if lhs == rhs else "fail"
-    reason = "" if status == "pass" else "lhs != rhs"
-    return VerificationReport(ident.name, flat, lhs, rhs, status, reason, micros)
+    if rhs is lhs:
+        return VerificationReport(ident.name, flat, lhs, rhs, "pass", "", micros)
+    return VerificationReport(ident.name, flat, lhs, rhs, "fail", "lhs != rhs", micros)
 
 
 def run_sweep(

@@ -30,8 +30,10 @@ one integer denominator.  G is R * F where R is finite and the cancelled
 limit at the two boundary points, so the pair equation can be verified at
 every grid point.  `residual_grid` tests each k of the rows as an integer
 and hands a nonzero k, or one that reads a boundary pole of G, to the
-pointwise `wz_residual`; a Fraction is built only where a value is
-returned.  Evaluating a bare certificate where its denominator vanishes
+pointwise `wz_residual`, which raises that pole; otherwise the residual
+is returned as the rows' integer pair.  Like the registry's evaluators,
+`residual_grid` and `row_sum` return unreduced integer pairs for
+`sweep.verify`.  Evaluating a bare certificate where its denominator vanishes
 (and nothing cancels) raises CertificateDenominatorZero, which callers
 report separately from a nonzero residual.
 """
@@ -247,14 +249,17 @@ def wz_residual(pair: WZPair, n: int, k: int, ell: Fraction | int) -> Fraction:
     return pair.F(n + 1, k, ell) - pair.F(n, k, ell) - pair.G(n, k + 1, ell) + pair.G(n, k, ell)
 
 
-def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
+def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> tuple[int, int]:
     """The first nonzero residual over the widened range k = -1..2n+3, or 0
-    when the pair equation holds at every point of it.
+    when the pair equation holds at every point of it, as an unreduced
+    integer pair.
 
     Rows n and n+1 of F and row n of G are scaled to one denominator and
-    every k is tested as an integer; the first k that is nonzero, or
-    reads a boundary pole of G, is evaluated by `wz_residual`, which
-    returns that residual or raises that pole.
+    every k is tested as an integer, so the residual at k is one integer
+    over that denominator.  The first k that is nonzero, or reads a
+    boundary pole of G, is also evaluated pointwise by `wz_residual`: it
+    raises the pole that G reads first there, and otherwise agrees with
+    the pair returned.
     """
     ell = _defined_shift(pair, ell, n, n + 1)
     lo, hi = pair.rows(n, ell), pair.rows(n + 1, ell)
@@ -267,13 +272,15 @@ def residual_grid(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
     poles = lo.poles
     for k, (a, b, c, d) in enumerate(zip(f1, f0, g[1:], g), start=-1):
         if a - b - c + d or poles and (k in poles or k + 1 in poles):
-            return wz_residual(pair, n, k, ell)
-    return Fraction(0)
+            wz_residual(pair, n, k, ell)  # raises a pole that G reads at k
+            return a - b - c + d, common
+    return 0, 1
 
 
-def row_sum(pair: WZPair, n: int, ell: Fraction | int) -> Fraction:
-    """sum_k F(n, k) over row n's support k = 0..2n; 1 for a verified pair."""
+def row_sum(pair: WZPair, n: int, ell: Fraction | int) -> tuple[int, int]:
+    """sum_k F(n, k) over row n's support k = 0..2n, as an unreduced integer
+    pair; 1 for a verified pair."""
     ell = _defined_shift(pair, ell, n, n)
     row = pair.rows(n, ell)
-    return Fraction(sum(row.f), row.f_den)
+    return sum(row.f), row.f_den
 

@@ -3,6 +3,7 @@ cross-identity structural properties (reindexing, specialization, parity)."""
 
 import concurrent.futures
 import dataclasses
+import inspect
 import json
 import math
 import multiprocessing
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from knuthsums import abel, catalog, cli, legendre
+from knuthsums import abel, catalog, cli, legendre, wz
 from knuthsums.catalog import (
     DEFAULT_ELL_GRID,
     REGISTRY,
@@ -46,18 +47,18 @@ def test_registry_keys():
 
 
 def test_knuth_old_sum_values():
-    assert catalog.knuth_lhs(0) == catalog.knuth_rhs(0) == 1
-    assert catalog.knuth_lhs(1) == catalog.knuth_rhs(1) == 0
-    assert catalog.knuth_lhs(2) == catalog.knuth_rhs(2) == F(1, 2)
-    assert catalog.knuth_lhs(4) == catalog.knuth_rhs(4) == F(3, 8)
+    assert F(*catalog.knuth_lhs(0)) == F(*catalog.knuth_rhs(0)) == 1
+    assert F(*catalog.knuth_lhs(1)) == F(*catalog.knuth_rhs(1)) == 0
+    assert F(*catalog.knuth_lhs(2)) == F(*catalog.knuth_rhs(2)) == F(1, 2)
+    assert F(*catalog.knuth_lhs(4)) == F(*catalog.knuth_rhs(4)) == F(3, 8)
 
 
 def test_prop1_values():
-    assert catalog.prop1_lhs(2, F(0)) == catalog.prop1_rhs(2, F(0)) == F(1, 2)
-    assert catalog.prop1_lhs(2, F(1, 2)) == catalog.prop1_rhs(2, F(1, 2)) == F(5, 8)
+    assert F(*catalog.prop1_lhs(2, F(0))) == F(*catalog.prop1_rhs(2, F(0))) == F(1, 2)
+    assert F(*catalog.prop1_lhs(2, F(1, 2))) == F(*catalog.prop1_rhs(2, F(1, 2))) == F(5, 8)
     for ell in DEFAULT_ELL_GRID:
-        assert catalog.prop1_lhs(3, ell) == 0
-        assert catalog.prop1_rhs(3, ell) == 0
+        assert F(*catalog.prop1_lhs(3, ell)) == 0
+        assert F(*catalog.prop1_rhs(3, ell)) == 0
 
 
 def test_prop1_handles_negative_half_integer_shifts():
@@ -69,8 +70,8 @@ def test_prop1_handles_negative_half_integer_shifts():
                 F(-1, 2) ** k * gbinom(n + ell, n - k) * gbinom(2 * k + 2 * ell, k)
                 for k in range(n + 1)
             )
-            assert catalog.prop1_lhs(n, ell) == direct
-            assert direct == catalog.prop1_rhs(n, ell)
+            assert F(*catalog.prop1_lhs(n, ell)) == direct
+            assert direct == F(*catalog.prop1_rhs(n, ell))
 
 
 def _literal_prop1(n, ell):
@@ -118,7 +119,7 @@ def test_shifted_lhs_equals_literal_gbinom_sum(name, n, ell):
     # the row-kernel LHS against one gbinom call per binomial entry
     ident = REGISTRY[name]
     assume(ident.validity(n=n, ell=ell))
-    assert ident.lhs(n=n, ell=ell) == LITERAL_SUMS[name](n, ell)
+    assert F(*ident.lhs(n=n, ell=ell)) == LITERAL_SUMS[name](n, ell)
 
 
 def test_abel1_lhs_equals_literal_sum_at_integer_and_half_integer_shifts():
@@ -129,32 +130,32 @@ def test_abel1_lhs_equals_literal_sum_at_integer_and_half_integer_shifts():
         for twice in range(-2 * n - 4, 5):
             ell = F(twice, 2)
             if ident.validity(n=n, ell=ell):
-                assert ident.lhs(n=n, ell=ell) == _literal_abel1(n, ell), (n, ell)
+                assert F(*ident.lhs(n=n, ell=ell)) == _literal_abel1(n, ell), (n, ell)
 
 
 def test_prop2_values():
-    assert catalog.prop2_lhs(2, F(1)) == catalog.prop2_rhs(2, F(1)) == F(1, 4)
-    assert catalog.prop2_lhs(2, F(0)) == catalog.prop2_rhs(2, F(0)) == F(1, 2)
-    assert catalog.prop2_lhs(1, F(1, 3)) == catalog.prop2_rhs(1, F(1, 3)) == 0
+    assert F(*catalog.prop2_lhs(2, F(1))) == F(*catalog.prop2_rhs(2, F(1))) == F(1, 4)
+    assert F(*catalog.prop2_lhs(2, F(0))) == F(*catalog.prop2_rhs(2, F(0))) == F(1, 2)
+    assert F(*catalog.prop2_lhs(1, F(1, 3))) == F(*catalog.prop2_rhs(1, F(1, 3))) == 0
 
 
 def test_hkmix_values():
-    assert catalog.hkmix_lhs(0) == catalog.hkmix_rhs(0) == 0
-    assert catalog.hkmix_lhs(1) == catalog.hkmix_rhs(1) == F(1, 2)
-    assert catalog.hkmix_lhs(2) == catalog.hkmix_rhs(2)
+    assert F(*catalog.hkmix_lhs(0)) == F(*catalog.hkmix_rhs(0)) == 0
+    assert F(*catalog.hkmix_lhs(1)) == F(*catalog.hkmix_rhs(1)) == F(1, 2)
+    assert F(*catalog.hkmix_lhs(2)) == F(*catalog.hkmix_rhs(2))
 
 
 def test_corollary_values():
-    assert catalog.oddh_corollary_lhs(1) == catalog.oddh_corollary_rhs(1) == -1
-    assert catalog.oddh_corollary_lhs(3) == catalog.oddh_corollary_rhs(3) == F(-2, 3)
-    assert catalog.oddh_corollary_lhs(2) == catalog.oddh_corollary_rhs(2) == 0
-    assert catalog.oddh_corollary_lhs(5) == catalog.oddh_corollary_rhs(5)
+    assert F(*catalog.oddh_corollary_lhs(1)) == F(*catalog.oddh_corollary_rhs(1)) == -1
+    assert F(*catalog.oddh_corollary_lhs(3)) == F(*catalog.oddh_corollary_rhs(3)) == F(-2, 3)
+    assert F(*catalog.oddh_corollary_lhs(2)) == F(*catalog.oddh_corollary_rhs(2)) == 0
+    assert F(*catalog.oddh_corollary_lhs(5)) == F(*catalog.oddh_corollary_rhs(5))
 
 
 def test_intermediate_values():
-    assert catalog.intermediate_lhs(0) == catalog.intermediate_rhs(0) == 0
-    assert catalog.intermediate_lhs(1) == catalog.intermediate_rhs(1) == 3
-    assert catalog.intermediate_lhs(2) == catalog.intermediate_rhs(2)
+    assert F(*catalog.intermediate_lhs(0)) == F(*catalog.intermediate_rhs(0)) == 0
+    assert F(*catalog.intermediate_lhs(1)) == F(*catalog.intermediate_rhs(1)) == 3
+    assert F(*catalog.intermediate_lhs(2)) == F(*catalog.intermediate_rhs(2))
 
 
 def test_final_form_equivalence_chain():
@@ -163,17 +164,17 @@ def test_final_form_equivalence_chain():
     for n in range(40):
         m = 2 * n + 1
         tail = F((-2) ** m, m + 1) * harmonic(m)
-        assert catalog.oddh_corollary_lhs(m) == catalog.intermediate_lhs(n) + tail
-        assert catalog.oddh_corollary_rhs(m) == -odd_harmonic(n + 1) / (n + 1)
-        assert catalog.intermediate_lhs(n) == catalog.intermediate_rhs(n)
-        assert catalog.oddh_corollary_lhs(m) == catalog.oddh_corollary_rhs(m)
+        assert F(*catalog.oddh_corollary_lhs(m)) == F(*catalog.intermediate_lhs(n)) + tail
+        assert F(*catalog.oddh_corollary_rhs(m)) == -odd_harmonic(n + 1) / (n + 1)
+        assert F(*catalog.intermediate_lhs(n)) == F(*catalog.intermediate_rhs(n))
+        assert F(*catalog.oddh_corollary_lhs(m)) == F(*catalog.oddh_corollary_rhs(m))
 
 
 def test_gf_polynomial_values():
-    assert catalog.gfpoly_lhs(1, F(1)) == catalog.gfpoly_rhs(1, F(1)) == F(1, 3)
+    assert F(*catalog.gfpoly_lhs(1, F(1))) == F(*catalog.gfpoly_rhs(1, F(1))) == F(1, 3)
     for n in (0, 2, 5):
-        assert catalog.gfpoly_lhs(n, F(0)) == catalog.gfpoly_rhs(n, F(0)) == 1
-    assert catalog.gfpoly_lhs(2, F(1, 3)) == catalog.gfpoly_rhs(2, F(1, 3))
+        assert F(*catalog.gfpoly_lhs(n, F(0))) == F(*catalog.gfpoly_rhs(n, F(0))) == 1
+    assert F(*catalog.gfpoly_lhs(2, F(1, 3))) == F(*catalog.gfpoly_rhs(2, F(1, 3)))
     # a point given as text is read exactly, also through verify
     assert verify(REGISTRY["gf-polynomial"], {"n": 2, "x": "1/3"}).status == "pass"
 
@@ -189,7 +190,7 @@ def test_gf_polynomial_lhs_equals_per_term_fraction_sum(n, x):
     literal = sum(
         (F(math.comb(2 * n, k), k + 1) * (-2 * x) ** k for k in range(2 * n + 1)), F(0)
     )
-    assert catalog.gfpoly_lhs(n, x) == literal
+    assert F(*catalog.gfpoly_lhs(n, x)) == literal
 
 
 def test_gf_row_cache_equals_fresh_rows_and_is_bounded():
@@ -256,7 +257,7 @@ def _gfpoly_rhs_by_fractions(n, x):
     st.builds(F, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=15)),
 )
 def test_gf_polynomial_rhs_equals_fraction_closed_form(n, x):
-    assert catalog.gfpoly_rhs(n, x) == _gfpoly_rhs_by_fractions(n, x)
+    assert F(*catalog.gfpoly_rhs(n, x)) == _gfpoly_rhs_by_fractions(n, x)
 
 
 def test_harmonic_sum_lhs_equal_per_term_fraction_sums():
@@ -268,24 +269,24 @@ def test_harmonic_sum_lhs_equal_per_term_fraction_sums():
         H.append(H[-1] + F(1, j))
         O.append(O[-1] + F(1, 2 * j - 1))
     for n in range(41):
-        assert catalog.hkmix_lhs(n) == sum(
+        assert F(*catalog.hkmix_lhs(n)) == sum(
             F((-1) ** k * math.comb(2 * k, k) * math.comb(2 * n, k), 2**k) * (3 * H[k] - 2 * H[2 * k])
             for k in range(2 * n + 1)
         )
-        assert catalog.hkmix_rhs(n) == F(math.comb(2 * n, n), 4**n) * H[n]
-        assert catalog.oddh_corollary_lhs(n) == sum(
+        assert F(*catalog.hkmix_rhs(n)) == F(math.comb(2 * n, n), 4**n) * H[n]
+        assert F(*catalog.oddh_corollary_lhs(n)) == sum(
             F((-2) ** k * math.comb(n, k), k + 1) * H[k] for k in range(n + 1)
         )
-        assert catalog.oddh_corollary_rhs(n) == (F(-2, n + 1) * O[(n + 1) // 2] if n % 2 else 0)
-        assert catalog.intermediate_lhs(n) == sum(
+        assert F(*catalog.oddh_corollary_rhs(n)) == (F(-2, n + 1) * O[(n + 1) // 2] if n % 2 else 0)
+        assert F(*catalog.intermediate_lhs(n)) == sum(
             F((-2) ** k * math.comb(2 * n + 1, k), k + 1) * H[k]
             for k in range(2 * n + 1)
         )
         p = 4**n - 1
-        assert catalog.intermediate_rhs(n) == (
+        assert F(*catalog.intermediate_rhs(n)) == (
             p * H[2 * n] / (n + 1) + H[n] / (2 * (n + 1)) + F(p, (n + 1) * (2 * n + 1))
         )
-        assert catalog.tauraso_lhs(n) == sum(
+        assert F(*catalog.tauraso_lhs(n)) == sum(
             (-1) ** k
             * math.comb(2 * n, k)
             * math.comb(2 * n + k, k)
@@ -294,13 +295,13 @@ def test_harmonic_sum_lhs_equal_per_term_fraction_sums():
             * H[k]
             for k in range(2 * n + 1)
         )
-        assert catalog.tauraso_rhs(n) == math.comb(2 * n, n) ** 2 * H[2 * n]
-        assert legendre.odd_knuth_lhs(n) == sum(
+        assert F(*catalog.tauraso_rhs(n)) == math.comb(2 * n, n) ** 2 * H[2 * n]
+        assert F(*legendre.odd_knuth_lhs(n)) == sum(
             F((-1) ** k * math.comb(n, k) * math.comb(2 * k, k), 4**k) * O[k] for k in range(n + 1)
         )
-        assert legendre.odd_knuth_rhs(n) == -F(math.comb(2 * n, n), 4**n) * O[n]
+        assert F(*legendre.odd_knuth_rhs(n)) == -F(math.comb(2 * n, n), 4**n) * O[n]
         sign = (-1) ** n
-        assert legendre.log_moment_sqrt_rhs(n) == (
+        assert F(*legendre.log_moment_sqrt_rhs(n)) == (
             4 * sign * H[n] / (2 * n + 1) - 8 * sign * H[2 * n] / (2 * n + 1) - F(4 * sign, (2 * n + 1) ** 2)
         )
 
@@ -326,7 +327,7 @@ def test_prop2_skips_are_sound():
     for n in range(31):
         for ell in shifts:
             if ident.validity(n=n, ell=ell):
-                assert ident.lhs(n=n, ell=ell) == ident.rhs(n=n, ell=ell), (n, ell)
+                assert F(*ident.lhs(n=n, ell=ell)) == F(*ident.rhs(n=n, ell=ell)), (n, ell)
             else:
                 assert ell.denominator == 1 and -n <= ell <= -1, (n, ell)
                 with pytest.raises(ValueError):
@@ -336,9 +337,9 @@ def test_prop2_skips_are_sound():
 
 
 def test_tauraso_values():
-    assert catalog.tauraso_lhs(0) == catalog.tauraso_rhs(0) == 0
-    assert catalog.tauraso_lhs(1) == catalog.tauraso_rhs(1) == 6
-    assert catalog.tauraso_lhs(2) == catalog.tauraso_rhs(2)
+    assert F(*catalog.tauraso_lhs(0)) == F(*catalog.tauraso_rhs(0)) == 0
+    assert F(*catalog.tauraso_lhs(1)) == F(*catalog.tauraso_rhs(1)) == 6
+    assert F(*catalog.tauraso_lhs(2)) == F(*catalog.tauraso_rhs(2))
 
 
 def test_reindexing_symmetry():
@@ -349,23 +350,23 @@ def test_reindexing_symmetry():
                 F(-1, 2) ** (n - k) * gbinom(n + ell, k) * gbinom(2 * (n - k) + 2 * ell, n - k)
                 for k in range(n + 1)
             )
-            assert reversed_sum == catalog.prop1_lhs(n, ell)
+            assert reversed_sum == F(*catalog.prop1_lhs(n, ell))
 
 
 def test_specialization_at_zero_shift():
     for n in range(101):
         zero = F(0)
-        assert catalog.prop1_lhs(n, zero) == catalog.knuth_lhs(n)
-        assert catalog.prop2_lhs(n, zero) == catalog.knuth_lhs(n)
-        assert catalog.prop1_rhs(n, zero) == catalog.knuth_rhs(n)
-        assert catalog.prop2_rhs(n, zero) == catalog.knuth_rhs(n)
+        assert F(*catalog.prop1_lhs(n, zero)) == F(*catalog.knuth_lhs(n))
+        assert F(*catalog.prop2_lhs(n, zero)) == F(*catalog.knuth_lhs(n))
+        assert F(*catalog.prop1_rhs(n, zero)) == F(*catalog.knuth_rhs(n))
+        assert F(*catalog.prop2_rhs(n, zero)) == F(*catalog.knuth_rhs(n))
 
 
 def test_parity_vanishing():
     for n in range(1, 100, 2):
         for ell in (F(1, 4), F(7, 5), F(-1, 3)):
-            assert catalog.prop1_lhs(n, ell) == 0
-            assert catalog.prop2_lhs(n, ell) == 0
+            assert F(*catalog.prop1_lhs(n, ell)) == 0
+            assert F(*catalog.prop2_lhs(n, ell)) == 0
 
 
 def test_verify_pass_and_skip():
@@ -397,13 +398,69 @@ def test_verify_skips_vanishing_certificate_denominators():
     assert rep.reason == "certificate denominator zero: certificate denominator vanishes at n=1"
 
 
+def _plus(pair, by):
+    """The integer pair of num/den + by."""
+    num, den = pair
+    return num + by * den, den
+
+
 def test_verify_flags_inequality():
     skewed = Identity(
         "skewed", "off by one", ("n",),
-        catalog.knuth_lhs, lambda n: catalog.knuth_rhs(n) + 1,
+        catalog.knuth_lhs, lambda n: _plus(catalog.knuth_rhs(n), 1),
     )
     rep = verify(skewed, {"n": 2})
     assert rep.status == "fail" and rep.reason == "lhs != rhs"
+
+
+# unreduced sides: either sign of denominator, zero numerators, zero
+# denominators, and (0, 0), whose cross products match anything
+PAIR_INTS = st.integers(min_value=-30, max_value=30)
+
+
+@st.composite
+def _sides(draw):
+    lhs = (draw(PAIR_INTS), draw(PAIR_INTS))
+    scale = draw(st.integers(min_value=-4, max_value=4))
+    rhs = draw(st.one_of(st.tuples(PAIR_INTS, PAIR_INTS), st.just((lhs[0] * scale, lhs[1] * scale))))
+    return lhs, rhs
+
+
+@settings(max_examples=400)
+@given(_sides())
+@example(((0, 0), (0, 0)))
+@example(((0, 5), (0, 0)))
+@example(((0, 0), (0, -5)))
+@example(((3, 0), (6, 0)))
+@example(((0, -3), (0, 7)))
+@example(((6, -4), (-3, 2)))
+@example(((6, -4), (3, 2)))
+def test_verify_on_integer_pairs_matches_a_fraction_oracle(sides):
+    lhs, rhs = sides
+    rep = verify(Identity("pairs", "synthetic", ("n",), lambda n: lhs, lambda n: rhs), {"n": 0})
+    if lhs[1] == 0 or rhs[1] == 0:
+        # a zero denominator never passes, whatever the cross products say
+        assert rep.status == "fail" and rep.reason.startswith("evaluator error: ")
+        assert rep.lhs is None and rep.rhs is None
+        return
+    want_lhs, want_rhs = F(*lhs), F(*rhs)
+    status = "pass" if want_lhs == want_rhs else "fail"
+    assert (rep.status, rep.lhs, rep.rhs) == (status, want_lhs, want_rhs)
+    assert type(rep.lhs) is type(rep.rhs) is F
+    assert rep.reason == ("" if status == "pass" else "lhs != rhs")
+    if status == "pass":
+        assert rep.rhs is rep.lhs  # reduced once, and formatted once
+
+
+def test_evaluator_parameters_are_named_as_param_names_in_order():
+    # verify passes a case's values positionally, in param_names order, so a
+    # side whose parameters came in another order would swap n and ell
+    default = {f.name: f.default for f in dataclasses.fields(Identity)}["validity"]
+    checks = [check for pair in wz.certificates().values() for check in cli._wz_checks(pair)]
+    for ident in [*REGISTRY.values(), *checks]:
+        sides = [ident.lhs, ident.rhs] + ([] if ident.validity is default else [ident.validity])
+        for fn in sides:
+            assert tuple(inspect.signature(fn).parameters) == ident.param_names, (ident.name, fn)
 
 
 def test_iter_cases_shapes():
@@ -436,7 +493,7 @@ def test_run_sweep_sorting_and_parallel_agreement():
 
 
 def _knuth_rhs_wrong_at_5(n):
-    return catalog.knuth_rhs(n) + (n == 5)
+    return _plus(catalog.knuth_rhs(n), n == 5)
 
 
 @pytest.mark.skipif(
@@ -522,9 +579,9 @@ def test_run_sweep_rejects_unknown_names():
 def _recording(monkeypatch, name, calls):
     ident = REGISTRY[name]
 
-    def lhs(**params):
-        calls.append(params)
-        return ident.lhs(**params)
+    def lhs(*values):
+        calls.append(dict(zip(ident.param_names, values)))
+        return ident.lhs(*values)
 
     monkeypatch.setitem(REGISTRY, name, dataclasses.replace(ident, lhs=lhs))
 

@@ -39,13 +39,13 @@ rationals = st.builds(
 @example([(1, 2), (1, 3), (1, 5), (-1, 7)])
 @example([(5, -3), (0, 4), (-2, 9)])
 def test_exact_sum_equals_per_term_fraction_sum(terms):
-    total = core.exact_sum(terms)
+    total = F(*core.exact_sum(terms))
     assert type(total) is F
     assert total == sum((F(num, den) for num, den in terms), F(0))
 
 
 def test_exact_sum_takes_a_generator_and_rejects_a_zero_denominator():
-    assert core.exact_sum((k, k + 1) for k in range(4)) == F(1, 2) + F(2, 3) + F(3, 4)
+    assert F(*core.exact_sum((k, k + 1) for k in range(4))) == F(1, 2) + F(2, 3) + F(3, 4)
     with pytest.raises(ZeroDivisionError):
         core.exact_sum([(1, 2), (1, 0)])
 

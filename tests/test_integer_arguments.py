@@ -170,9 +170,9 @@ SHIFTS = st.one_of(
     _rational(st.integers(-40, 40), st.just(2)),
 )
 SHIFTED_RHS = {
-    "prop1": (catalog.prop1_rhs, _prop1_rhs_by_fractions),
-    "prop2": (catalog.prop2_rhs, _prop2_rhs_by_fractions),
-    "abel1": (abel.abel1_rhs, _abel1_rhs_by_fractions),
+    "prop1": (lambda n, ell: F(*catalog.prop1_rhs(n, ell)), _prop1_rhs_by_fractions),
+    "prop2": (lambda n, ell: F(*catalog.prop2_rhs(n, ell)), _prop2_rhs_by_fractions),
+    "abel1": (lambda n, ell: F(*abel.abel1_rhs(n, ell)), _abel1_rhs_by_fractions),
 }
 
 
@@ -204,7 +204,7 @@ def test_prop2_rhs_raises_exactly_where_its_binomial_vanishes():
                 with pytest.raises(ZeroDivisionError):
                     catalog.prop2_rhs(n, ell)
             else:
-                assert catalog.prop2_rhs(n, ell) == _prop2_rhs_by_fractions(n, ell)
+                assert F(*catalog.prop2_rhs(n, ell)) == _prop2_rhs_by_fractions(n, ell)
     # the zeros are the integers -n/2 <= l <= -1 and no others
     raising = [ell for ell in shifts if _rhs_outcome(catalog.prop2_rhs, 40, ell) == ("zero-division",)]
     assert raising == list(range(-20, 0))
