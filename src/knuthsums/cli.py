@@ -99,36 +99,36 @@ def _json_string(text: str) -> str:
     return encode_basestring_ascii(text)
 
 
-def _param_fragments(name: str, value: int | Fraction) -> tuple[str, str]:
-    """One parameter as a JSON member (`"ell": "1/2"`, `"n": 3`) and as
+def _fraction_fragments(name: str, value: Fraction) -> tuple[str, str]:
+    """A Fraction parameter as a JSON member (`"ell": "1/2"`) and as
     compact text (`ell=1/2`)."""
-    if isinstance(value, int):
-        return f"{_json_string(name)}: {value}", f"{name}={value}"
     text = format_rational(value)
     return f'{_json_string(name)}: "{text}"', f"{name}={text}"
 
 
-def _rows(reports: Iterable[VerificationReport]) -> Iterator[tuple]:
+def _rows(reports: Iterable[VerificationReport], grid: Iterable[Fraction] = ()) -> Iterator[tuple]:
     """The row form of each report, from which every format is written:
     (identity, params as JSON members, params as compact text, lhs, rhs,
     status, micros, reason), each side as `p/q` text or None.  A passing
     report holds one Fraction as both sides, which is formatted once.
 
-    Parameter values are memoised by integer pair (no Fraction is hashed),
-    and the memo is cleared when full: most x points occur once.
+    Each shift of the run's `grid` is formatted once, up front, and looked
+    up by integer pair (no Fraction is hashed); an int parameter (`n`,
+    `"n": 3`), an x point and a shift off the grid are formatted where they
+    occur, so what is kept does not grow with the number of reports.
     """
-    fragments: dict[tuple, tuple[str, str]] = {}
+    shifts = {(ell.numerator, ell.denominator): _fraction_fragments("ell", ell) for ell in grid}
     for identity, params, lhs, rhs, status, reason, micros in reports:
         members, texts = [], []
         for name, value in params:
-            key = (name, value) if isinstance(value, int) else (name, value.numerator, value.denominator)
-            pair = fragments.get(key)
-            if pair is None:
-                if len(fragments) > 1024:
-                    fragments.clear()
-                pair = fragments[key] = _param_fragments(name, value)
-            members.append(pair[0])
-            texts.append(pair[1])
+            if isinstance(value, int):
+                member, text = f"{_json_string(name)}: {value}", f"{name}={value}"
+            else:
+                member, text = (
+                    name == "ell" and shifts.get((value.numerator, value.denominator))
+                ) or _fraction_fragments(name, value)
+            members.append(member)
+            texts.append(text)
         lhs_text = None if lhs is None else format_rational(lhs)
         rhs_text = lhs_text if rhs is lhs else None if rhs is None else format_rational(rhs)
         yield identity, ", ".join(members), ";".join(texts), lhs_text, rhs_text, status, micros, reason
@@ -148,9 +148,12 @@ def _json_lines(rows: Iterable[tuple]) -> Iterator[str]:
         )
 
 
-def _emit(reports: Iterable[VerificationReport], fmt: str, out) -> dict[str, int]:
+def _emit(
+    reports: Iterable[VerificationReport], fmt: str, out, grid: Iterable[Fraction] = ()
+) -> dict[str, int]:
     """Write the reports in `fmt` as they come (the summary keeps counts and
-    failures only) and return the count of each status."""
+    failures only) and return the count of each status.  `grid` is the
+    run's shift grid, whose values are formatted once."""
     by_name: dict[str, dict[str, int]] = {}
 
     def tallied():
@@ -159,12 +162,12 @@ def _emit(reports: Iterable[VerificationReport], fmt: str, out) -> dict[str, int
             yield rep
 
     if fmt == "json":
-        out.writelines(_json_lines(_rows(tallied())))
+        out.writelines(_json_lines(_rows(tallied(), grid)))
     elif fmt == "tsv":
         out.write("\t".join(TSV_COLUMNS) + "\n")
         out.writelines(
             f"{identity}\t{text}\t{lhs}\t{rhs}\t{status}\t{micros}\n"
-            for identity, _, text, lhs, rhs, status, micros, _ in _rows(tallied())
+            for identity, _, text, lhs, rhs, status, micros, _ in _rows(tallied(), grid)
         )
     else:
         failed = [rep for rep in tallied() if rep.status == "fail"]
@@ -178,7 +181,7 @@ def _emit(reports: Iterable[VerificationReport], fmt: str, out) -> dict[str, int
             )
         out.writelines(
             f"FAIL {identity} [{text}] lhs={lhs} rhs={rhs} {reason}\n"
-            for identity, _, text, lhs, rhs, _, _, reason in _rows(failed)
+            for identity, _, text, lhs, rhs, _, _, reason in _rows(failed, grid)
         )
     return totals
 
@@ -200,7 +203,7 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be positive, got {args.jobs}")
     reports = run_sweep(names, n_max, grid, jobs=args.jobs, fail_fast=args.fail_fast)
-    return _exit_code(_emit(reports, args.format, sys.stdout))
+    return _exit_code(_emit(reports, args.format, sys.stdout, grid))
 
 
 def _wz_checks(pair: wz.WZPair) -> tuple[Identity, Identity]:
@@ -233,26 +236,41 @@ def _wz_rows(checks: tuple[Identity, ...], n: int, ell: Fraction) -> list[Verifi
 
 def cmd_wz(args) -> int:
     """Check the selected pairs at every (n, l) and write the records in
-    `verify`'s order: by check, then n, then shift, all ascending."""
+    `verify`'s order: by check, then n, then shift, all ascending.
+
+    The pairs run one at a time, in name order, which is the order of
+    their check names: a pair's cases run (l, n), so that the row bundles
+    of n and n+1 at one shift meet in turn in `wz._rows`' cache, and its
+    records are sorted and written before the next pair runs.  So the
+    reports held at once are one pair's, and the prefix that --fail-fast
+    prints does not depend on the order the pairs or shifts were listed in.
+    """
     # imported here, not at module level, so that `verify` never loads wz
     from . import wz
 
     pairs = wz.certificates()
     names = _select(args.certificate, pairs, "certificate")
     n_max, grid = _sweep_grid(args)
-    checks = [_wz_checks(pairs[name]) for name in sorted(names)]
-    reports: list[VerificationReport] = []
-    # cases run (pair, l, n), so that the row bundles of n and n+1 at one
-    # shift meet in turn; pairs and shifts ascend, so the prefix that
-    # --fail-fast prints does not depend on the order they were listed in
-    for pair_checks, ell, n in itertools.product(checks, sorted(grid), range(n_max + 1)):
-        rows = _wz_rows(pair_checks, n, ell)
-        reports.extend(rows)
-        if args.fail_fast and any(r.status == "fail" for r in rows):
-            break
-    # stable: within one (check, n) the shifts keep their ascending order
-    reports.sort(key=lambda rep: (rep.identity, rep.params[0][1]))
-    return _exit_code(_emit(reports, args.format, sys.stdout))
+    shifts = sorted(grid)
+
+    def reports() -> Iterator[VerificationReport]:
+        for name in sorted(names):
+            checks = _wz_checks(pairs[name])
+            block: list[VerificationReport] = []
+            failed = False
+            for ell, n in itertools.product(shifts, range(n_max + 1)):
+                rows = _wz_rows(checks, n, ell)
+                block.extend(rows)
+                failed = args.fail_fast and any(r.status == "fail" for r in rows)
+                if failed:
+                    break
+            # stable: within one (check, n) the shifts keep their ascending order
+            block.sort(key=lambda rep: (rep.identity, rep.params[0][1]))
+            yield from block
+            if failed:
+                return
+
+    return _exit_code(_emit(reports(), args.format, sys.stdout, grid))
 
 
 def cmd_list(args) -> int:

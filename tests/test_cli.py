@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -307,20 +308,86 @@ _REPORTS = st.builds(
 
 
 @settings(max_examples=120)
-@given(st.lists(_REPORTS, max_size=6))
-@example([
-    # one shift as an int and as a Fraction: a memo keyed on the value alone
-    # would print the second like the first
-    VerificationReport("prop1-general-ell", (("n", 2), ("ell", 3)), F(1), F(1), "pass"),
-    VerificationReport("prop1-general-ell", (("n", 2), ("ell", F(3))), F(1), None, "fail", "x"),
-    VerificationReport("prop1-general-ell", (("n", 3), ("ell", 3)), None, None, "skip", "é\"\n"),
-])
-def test_json_lines_match_json_dumps(reports):
+@given(st.lists(_REPORTS, max_size=6), st.lists(_PARAM_VALUES, max_size=6))
+@example(
+    [
+        # one shift as an int and as a Fraction: a memo keyed on the value
+        # alone would print the second like the first
+        VerificationReport("prop1-general-ell", (("n", 2), ("ell", 3)), F(1), F(1), "pass"),
+        VerificationReport("prop1-general-ell", (("n", 2), ("ell", F(3))), F(1), None, "fail", "x"),
+        VerificationReport("prop1-general-ell", (("n", 3), ("ell", 3)), None, None, "skip", "é\"\n"),
+        # an x point at a grid value, and a shift off the grid
+        VerificationReport("prop1-general-ell", (("n", 2), ("x", F(3))), None, None, "skip"),
+        VerificationReport("prop1-general-ell", (("n", 2), ("ell", F(5, 2))), None, None, "skip"),
+    ],
+    [3, F(1, 2)],
+)
+def test_json_lines_match_json_dumps(reports, grid):
+    # the grid's shifts are formatted up front and looked up by integer pair
     out = io.StringIO()
-    cli._emit(reports, "json", out)
+    cli._emit(reports, "json", out, grid)
     assert out.getvalue().splitlines(keepends=True) == [
         json.dumps(rep.to_record()) + "\n" for rep in reports
     ]
+
+
+class _NullSink:
+    def write(self, text):
+        pass
+
+    def writelines(self, lines):
+        for _ in lines:
+            pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_emit_memory_does_not_grow_with_distinct_x_points(fmt):
+    # gf-polynomial's x points occur once each: writing 1000 of them must
+    # hold no more than writing 100 (a memo of each point's text would hold
+    # ~0.2 MB more); the reports are made as they are read
+    def peak(points):
+        reports = (
+            VerificationReport("gf-polynomial", (("n", 7), ("x", F(j, points + 1))), F(j), F(j), "pass")
+            for j in range(1, points + 1)
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            counts = cli._emit(reports, fmt, _NullSink(), (F(1, 2),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts["pass"] == points
+        return peak
+
+    peak(100)  # warm the caches that do not grow
+    assert peak(1000) - peak(100) < 8 * 1024
+
+
+def test_wz_writes_each_certificate_before_checking_the_next(monkeypatch):
+    # one pair's records are written before the next pair is evaluated, so
+    # no more than one pair's reports are held at a time
+    out = io.StringIO()
+    written_before = {}
+    wz_rows = cli._wz_rows
+
+    def recorded(checks, n, ell):
+        written_before.setdefault(checks[0].name, out.getvalue())
+        return wz_rows(checks, n, ell)
+
+    monkeypatch.setattr(cli, "_wz_rows", recorded)
+    monkeypatch.setattr(sys, "stdout", out)
+    code = cli.main([
+        "wz", "--certificate", "prop1,prop2,negative-control", "--n-max", "2",
+        "--ell", "1/2,1/3", "--format", "json",
+    ])
+    assert code == 1
+    assert list(written_before) == ["wz-negative-control-residual", "wz-prop1-residual", "wz-prop2-residual"]
+    assert written_before["wz-negative-control-residual"] == ""
+    first = json.loads(written_before["wz-prop1-residual"].splitlines()[0])
+    assert first["identity"] == "wz-negative-control-residual"
+    assert written_before["wz-prop1-residual"].count("\n") == 2 * 3 * 2
+    assert written_before["wz-prop2-residual"].count("\n") == 2 * 2 * 3 * 2
 
 
 def test_output_deterministic_across_jobs(capsys):

@@ -120,23 +120,70 @@ RATIONALS = st.one_of(
 DEGREES = st.integers(0, 25)
 
 
+# The closed forms build the integer triples they hand `gammaprod.reduce`
+# from the integers of their parameters, each brought to lowest terms by a
+# gcd; the route they replaced built one Fraction per Gamma argument, which
+# `Fraction` keeps in lowest terms (the `_by_fractions` oracles above).
+# Each example list below is annotated with the GammaValue kind it reaches.
+TRIPLE_DENOMINATORS = [1, 2, 3, 4, 5, 7, 9]
+GAUSS_EXAMPLES = [
+    (-2, 2),  # Finite, rational
+    (1, 1),  # Finite with a factor of pi
+    (F(-3), F(1, 3)),  # Zero: an odd upper index
+    (HALF, F(-7, 2)),  # Pole
+    (F(1, 3), F(1, 5)),  # Irreducible
+    (-3, -2),  # Irreducible: poles on both sides
+]
+MOMENT_EXAMPLES = [
+    (F(1, 3), 0),  # n = 0: the first two arguments merge
+    (0, 0),
+    (2, 5),  # Zero
+    (F(-8, 9), 24),
+]
+
+
+def _examples(cases):
+    def wrap(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+
+    return wrap
+
+
+def _moment_argument(d):
+    """p = a/d > -1, as an int half the time when d = 1."""
+    return _rational(st.integers(1 - d, 40), st.just(d))
+
+
+# each argument from RATIONALS or over TRIPLE_DENOMINATORS; `_outcome`
+# compares GammaValues by equality, which covers the variant, the value and
+# an Irreducible's scalar and factors, and by repr
+GAUSS_ARGUMENTS = st.one_of(
+    RATIONALS, _rational(st.integers(-40, 40), st.sampled_from(TRIPLE_DENOMINATORS))
+)
+MOMENT_ARGUMENTS = st.one_of(RATIONALS, st.sampled_from(TRIPLE_DENOMINATORS).flatmap(_moment_argument))
+
+
 @settings(max_examples=300, deadline=None)
-@given(RATIONALS, RATIONALS)
+@given(GAUSS_ARGUMENTS, GAUSS_ARGUMENTS)
 @example(-4, F(1, 3))
 @example(F(-3), 2)  # Zero: an odd upper index
 @example(F(1, 3), F(1, 5))  # Irreducible
 @example(-1, -1)  # poles on both sides
+@_examples(GAUSS_EXAMPLES)
 def test_gauss_second_rhs_matches_fraction_arguments(a, b):
     assert _outcome(gauss_second_rhs, a, b) == _outcome(_gauss_second_rhs_by_fractions, a, b)
 
 
 @settings(max_examples=300, deadline=None)
-@given(RATIONALS, DEGREES)
+@given(MOMENT_ARGUMENTS, DEGREES)
 @example(F(-3, 2), 1)  # p <= -1
 @example(-1, 0)
 @example(F(-8, 9), 25)
 @example(2, 5)  # Zero: orthogonal to lower monomials
 @example(F(-1, 2), 3)
+@_examples(MOMENT_EXAMPLES)
 def test_moment_matches_fraction_arguments(p, n):
     assert _outcome(legendre.moment, p, n) == _outcome(_moment_by_fractions, p, n)
 
@@ -208,61 +255,6 @@ def test_prop2_rhs_raises_exactly_where_its_binomial_vanishes():
     # the zeros are the integers -n/2 <= l <= -1 and no others
     raising = [ell for ell in shifts if _rhs_outcome(catalog.prop2_rhs, 40, ell) == ("zero-division",)]
     assert raising == list(range(-20, 0))
-
-
-# The closed forms build the integer triples they hand `gammaprod.reduce`
-# from the integers of their parameters, each brought to lowest terms by a
-# gcd; the route they replaced built one Fraction per Gamma argument, which
-# `Fraction` keeps in lowest terms (the `_by_fractions` oracles above).
-# Each example list below is annotated with the GammaValue kind it reaches.
-TRIPLE_DENOMINATORS = [1, 2, 3, 4, 5, 7, 9]
-GAUSS_EXAMPLES = [
-    (-2, 2),  # Finite, rational
-    (1, 1),  # Finite with a factor of pi
-    (F(-3), F(1, 3)),  # Zero: an odd upper index
-    (HALF, F(-7, 2)),  # Pole
-    (F(1, 3), F(1, 5)),  # Irreducible
-    (-3, -2),  # Irreducible: poles on both sides
-]
-MOMENT_EXAMPLES = [
-    (F(1, 3), 0),  # n = 0: the first two arguments merge
-    (0, 0),
-    (2, 5),  # Zero
-    (F(-8, 9), 24),
-]
-
-
-def _examples(cases):
-    def wrap(test):
-        for case in cases:
-            test = example(*case)(test)
-        return test
-
-    return wrap
-
-
-def _moment_argument(d):
-    """p = a/d > -1, as an int half the time when d = 1."""
-    return _rational(st.integers(1 - d, 40), st.just(d))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    _rational(st.integers(-40, 40), st.sampled_from(TRIPLE_DENOMINATORS)),
-    _rational(st.integers(-40, 40), st.sampled_from(TRIPLE_DENOMINATORS)),
-)
-@_examples(GAUSS_EXAMPLES)
-def test_gauss_second_rhs_triples_match_fraction_route(a, b):
-    # GammaValue equality covers the variant, the value and an
-    # Irreducible's scalar and factors
-    assert gauss_second_rhs(a, b) == _gauss_second_rhs_by_fractions(a, b)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(TRIPLE_DENOMINATORS).flatmap(_moment_argument), st.integers(0, 24))
-@_examples(MOMENT_EXAMPLES)
-def test_moment_triples_match_fraction_route(p, n):
-    assert legendre.moment(p, n) == _moment_by_fractions(p, n)
 
 
 def test_triple_examples_reach_every_gamma_value_kind():
