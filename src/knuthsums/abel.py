@@ -1,70 +1,24 @@
-"""Summation by parts in its modified-Abel form, truncated to a finite
-cutoff, plus the two Reed Dawson-like identities it produces here.
+"""The two Reed Dawson-like identities that summation by parts produces.
 
-With backward difference (del A)_i = A_i - A_{i-1} and forward-style
-difference (del' B)_i = B_i - B_{i+1}, the finite transform
+Both hold by the modified Abel lemma: with (del A)_i = A_i - A_{i-1} and
+(del' B)_i = B_i - B_{i+1}, for arbitrary sequences
 
     sum_{i=1}^{M} B_i (A_i - A_{i-1})
-      = A_M B_{M+1} - A_0 B_1 + sum_{i=1}^{M} A_i (B_i - B_{i+1})
+      = A_M B_{M+1} - A_0 B_1 + sum_{i=1}^{M} A_i (B_i - B_{i+1}).
 
-is an algebraic identity for arbitrary sequences; the boundary term
-A_M B_{M+1} plays the role of the limit term, and equals it whenever A has
-compact support below the cutoff.  The first identity's sum re-weights the
-integer terms of `core.prop1_row` and reads no binomial row of its own.
+The first identity takes A_i = -(i-n)(-n)_i / (n i!), zero for i >= n, and
+B_i = 2^i (l+1/2)_i / (2l+1)_i at M = n, where the boundary term vanishes;
+`tests/test_abel.py` checks the lemma on lists.  The first identity's sum
+re-weights the integer terms of `core.prop1_row` and reads no binomial
+row of its own.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
-from .core import as_rational, exact_sum, pochhammer, prop1_closed, prop1_row
-
-
-class SequencePair(NamedTuple):
-    """Two sequences A, B (total on 0..cutoff+1) and a truncation index."""
-
-    A: Callable[[int], Fraction]
-    B: Callable[[int], Fraction]
-    cutoff: int
-
-
-def transform_residual(pair: SequencePair) -> Fraction:
-    """Left side minus right side of the finite summation-by-parts identity.
-
-    Always exactly 0; exposed as a residual so the telescoping structure
-    itself is checkable on arbitrary sequences.
-    """
-    a = [pair.A(i) for i in range(pair.cutoff + 1)]
-    b = [pair.B(i) for i in range(pair.cutoff + 2)]
-    m = pair.cutoff
-    lhs = sum((b[i] * (a[i] - a[i - 1]) for i in range(1, m + 1)), Fraction(0))
-    rhs = a[m] * b[m + 1] - a[0] * b[1]
-    rhs += sum((a[i] * (b[i] - b[i + 1]) for i in range(1, m + 1)), Fraction(0))
-    return lhs - rhs
-
-
-def first_pair(n: int, ell: Fraction | int, cutoff: int | None = None) -> SequencePair:
-    """The compactly supported pair behind the weighted shifted sum:
-
-        A_i = -(i-n)(-n)_i / (n i!)      (zero for i >= n)
-        B_i = 2^i (l+1/2)_i / (2l+1)_i
-    """
-    if n < 1:
-        raise ValueError(f"pair requires n >= 1, got {n}")
-    ell = as_rational(ell)
-
-    def a(i: int) -> Fraction:
-        return Fraction(-(i - n)) * pochhammer(-n, i) / (n * math.factorial(i))
-
-    def b(i: int) -> Fraction:
-        den = pochhammer(2 * ell + 1, i)
-        if den == 0:
-            raise ValueError(f"(2l+1)_i vanishes for l={ell}, i={i}")
-        return 2**i * pochhammer(ell + Fraction(1, 2), i) / den
-
-    return SequencePair(a, b, n if cutoff is None else cutoff)
+from .core import as_rational, exact_sum, prop1_closed, prop1_row
 
 
 def abel1_valid(n: int, ell: Fraction | int) -> bool:

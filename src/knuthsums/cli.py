@@ -3,7 +3,8 @@ certificates, and list the registry.
 
 Exit codes: 0 when every non-skipped case passes, 1 when any case fails,
 2 for configuration errors (unknown or repeated keys, malformed or repeated
-rationals, an empty entry in a comma-separated list).
+rationals, an empty entry in a comma-separated list, a negative --n-max,
+--jobs below 1).
 Rationals cross the wire as exact "p/q" strings, never floats.
 """
 

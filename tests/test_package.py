@@ -1,7 +1,7 @@
 """The package namespace and its module boundaries: submodules load only
-when they are used, no module reaches into core's private names, and
-every function is reached by a CLI run or tabled with the reason it is
-not."""
+when they are used, no module reaches into core's private names, every
+function is reached by a CLI run or tabled with the reason it is not, and
+the README's library examples run as written."""
 
 import ast
 import contextlib
@@ -9,6 +9,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -27,10 +28,18 @@ def _python(code: str) -> str:
     return run.stdout
 
 
+def _added_by(code: str) -> set[str]:
+    """The modules a fresh interpreter adds while running code. What its
+    start-up loaded is left out: a `site` or a .pth file may import, say,
+    `inspect` before the package does anything."""
+    code = "import sys\n_before = set(sys.modules)\n" + code
+    code += "\nprint(' '.join(sorted(set(sys.modules) - _before)))\n"
+    return set(_python(code).splitlines()[-1].split())
+
+
 def _loaded_after(code: str) -> set[str]:
     """The knuthsums modules a fresh interpreter holds after running code."""
-    code += "\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('knuthsums'))))\n"
-    return set(_python(code).splitlines()[-1].split())
+    return {m for m in _added_by(code) if m.startswith("knuthsums")}
 
 
 def _cli_run(*argv: str) -> str:
@@ -52,7 +61,7 @@ def _cli_run(*argv: str) -> str:
 
 
 def test_closed_form_modules_load_without_the_registry():
-    loaded = _loaded_after("import sys\nimport knuthsums.hyper, knuthsums.gammaprod, knuthsums.legendre")
+    loaded = _loaded_after("import knuthsums.hyper, knuthsums.gammaprod, knuthsums.legendre")
     assert {"knuthsums.hyper", "knuthsums.gammaprod", "knuthsums.legendre"} <= loaded
     assert not loaded & {"knuthsums.catalog", "knuthsums.abel", "knuthsums.wz"}
 
@@ -92,20 +101,15 @@ def test_wz_loads_no_registry():
 
 def test_sweep_loads_only_core():
     # the case model knows no identity: the registry is read when a sweep starts
-    loaded = _loaded_after("import sys\nimport knuthsums.sweep")
+    loaded = _loaded_after("import knuthsums.sweep")
     assert loaded == {"knuthsums", "knuthsums.sweep", "knuthsums.core"}
 
 
 def test_closed_forms_load_no_dataclasses():
     # importing dataclasses pulls in inspect, ast, dis and tokenize, which
     # would dominate the start-up of a closed-forms run
-    code = (
-        "import sys\n"
-        "import knuthsums.hyper, knuthsums.gammaprod, knuthsums.legendre\n"
-        "knuthsums.legendre.moment(1, 1)\n"
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))\n"
-    )
-    assert _python(code).splitlines()[-1] == ""
+    code = "import knuthsums.hyper, knuthsums.gammaprod, knuthsums.legendre\nknuthsums.legendre.moment(1, 1)"
+    assert not _added_by(code) & {"dataclasses", "inspect"}
 
 
 def test_verify_and_wz_runs_load_no_json():
@@ -114,12 +118,8 @@ def test_verify_and_wz_runs_load_no_json():
         ("verify", "--identity", "knuth-old-sum", "--n-max", "1", "--format", "json"),
         ("wz", "--certificate", "prop1", "--n-max", "1", "--format", "json"),
     ):
-        code = (
-            "import sys\n"
-            + _cli_run(*argv)
-            + "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'json')))\n"
-        )
-        assert _python(code).splitlines()[-1] == "", argv
+        loaded = _added_by(_cli_run(*argv))
+        assert not {m for m in loaded if m.split(".")[0] == "json"}, argv
 
 
 def test_list_prints_json():
@@ -137,6 +137,17 @@ def test_list_prints_json():
     entries = json.loads(_python(code))
     assert [e["name"] for e in entries] == sorted(REGISTRY)
     assert all(e["params"] == list(REGISTRY[e["name"]].param_names) for e in entries)
+
+
+def test_readme_python_examples_run():
+    # every fenced python block of README.md, in process, so that its
+    # "Library use" cannot drift from the API
+    readme = Path(SRC).parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text("utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, str(readme), "exec"), {})
 
 
 def test_moment_loads_gammaprod_on_first_call():
@@ -220,10 +231,7 @@ def _definitions():
 # ROADMAP item that gives it a path or removes it, or why no run here can
 # reach it
 UNREACHED = {
-    "abel.SequencePair": "item 3",
-    "abel.first_pair": "item 3",
-    "abel.transform_residual": "item 3",
-    "core.Record._values": "item 15: Record equality and hashing, which only tests use",
+    "core.Record._values": "Record equality and hashing: library API, which the README documents",
     "core.falling": "item 7: tracing.CORE_FUNCTIONS",
     "core.gbinom": "item 7: tracing.CORE_FUNCTIONS",
     "core.harmonic": "item 7: tracing.CORE_FUNCTIONS",
